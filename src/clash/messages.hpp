@@ -135,14 +135,6 @@ struct ReplAppend {
   std::uint32_t checksum = 0;
 };
 
-/// Replica -> sender: applied up to `head`. `ok == false` flags an
-/// append that could not be applied; the head tells the sender where
-/// to diff from.
-struct ReplAck {
-  KeyGroup group;
-  repl::LogHead head;
-  bool ok = true;
-};
 
 /// Owner (or repairing peer) -> holder: a full snapshot of the group at
 /// `head` follows in `total_chunks` SnapshotChunk messages. Carries the
@@ -182,6 +174,17 @@ struct SnapshotChunk {
 struct GroupHead {
   KeyGroup group;
   repl::LogHead head;
+};
+
+/// Replica -> sender. `ok == true`: cumulative progress — each head is
+/// the newest applied point of its group, and one ack carries every
+/// group owed to the same peer (acks are batched per peer over a short
+/// window). `ok == false` flags an append or snapshot chunk that could
+/// not be applied; the nack carries exactly one head, telling the
+/// sender where to diff from.
+struct ReplAck {
+  std::vector<GroupHead> heads;
+  bool ok = true;
 };
 
 /// Owner -> replica set (anti-entropy timer): "my active groups stand

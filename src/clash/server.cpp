@@ -18,14 +18,20 @@ ClashServer::ClashServer(ServerId self, const ClashConfig& cfg, ServerEnv& env,
       hasher_(hasher),
       table_(cfg.key_width),
       rng_(self.value * 0x9e3779b97f4a7c15ULL + 17),
-      hub_(&env.obs()) {
-  auto& reg = hub_->registry;
+      hub_(env.obs()) {
+  auto& reg = hub_.registry;
   commit_latency_us_ = reg.histogram("clash_repl_commit_usec");
   failover_us_ = reg.histogram("clash_failover_recovery_usec");
   snapshot_install_us_ = reg.histogram("clash_snapshot_install_usec");
   puts_total_ = reg.counter("clash_puts_total");
   repl_bytes_total_ = reg.counter("clash_repl_bytes_total");
   corrupt_rejected_total_ = reg.counter("clash_corrupt_rejected_total");
+}
+
+ClashServer::~ClashServer() {
+  // Acks still owed die with the server (the owner re-syncs through
+  // anti-entropy); only the pending flush must not outlive it.
+  if (ack_flush_timer_ != 0) env_.cancel_deferred(ack_flush_timer_);
 }
 
 // Structural wire-size model for the cost vector: close enough to the
@@ -75,7 +81,7 @@ void ClashServer::meter_matches(const Key& key, std::size_t n,
   GroupCost& cost = group_costs_[entry->group];
   cost.matches += n;
   cost.bytes_served += bytes;
-  hub_->tracer.record(obs::SpanKind::kQueryMatch, self_.value, env_.now(),
+  hub_.tracer.record(obs::SpanKind::kQueryMatch, self_.value, env_.now(),
                       SimDuration{0}, n, active_trace_);
 }
 
@@ -147,7 +153,7 @@ AcceptObjectReply ClashServer::handle_accept_object(const AcceptObject& m) {
   // Cases (a) (right depth) and (b) (wrong depth, right server) differ
   // only in the echoed depth; the client compares.
   if (!m.probe_only) {
-    hub_->tracer.record(obs::SpanKind::kIngest, self_.value, env_.now(),
+    hub_.tracer.record(obs::SpanKind::kIngest, self_.value, env_.now(),
                         SimDuration{0}, std::uint64_t(m.kind),
                         active_trace_);
     GroupState& gs = state_[entry->group];
@@ -1019,11 +1025,11 @@ void ClashServer::send_append_batch(const KeyGroup& group,
     // Register the in-flight head *before* sending: a synchronous env
     // delivers the holders' acks re-entrantly inside env_.send.
     auto& inflight = pending_commits_[group];
-    if (inflight.empty() && hub_ != nullptr) {
+    if (inflight.empty()) {
       // Deque going empty -> non-empty opens the group's replication
       // op in the in-flight table; the last draining ack closes it.
       auto& tok = append_ops_[group];
-      if (tok != 0) hub_->inflight.end(tok);
+      if (tok != 0) hub_.inflight.end(tok);
       std::uint64_t first_peer = 0;
       for (const ServerId target : targets) {
         if (target != self_) {
@@ -1031,7 +1037,7 @@ void ClashServer::send_append_batch(const KeyGroup& group,
           break;
         }
       }
-      tok = hub_->inflight.begin(obs::OpKind::kReplAppend,
+      tok = hub_.inflight.begin(obs::OpKind::kReplAppend,
                                  std::uint32_t(self_.value), group.label(),
                                  first_peer, env_.now().usec);
     }
@@ -1124,7 +1130,7 @@ void ClashServer::send_state_snapshot(
   offer.total_chunks = total;
   offer.trace_id = trace_id;
   meter_repl_bytes(group, kMsgOverheadBytes);
-  hub_->tracer.record(obs::SpanKind::kSnapshotTransfer, self_.value,
+  hub_.tracer.record(obs::SpanKind::kSnapshotTransfer, self_.value,
                       env_.now(), SimDuration{0}, total, trace_id);
   flight(obs::FlightKind::kSnapshotOfferSent, group_tag(group), total);
   env_.send(to, offer);
@@ -1163,17 +1169,15 @@ void ClashServer::send_state_snapshot(
     chunk.checksum = wire::content_crc(chunk);
     out.chunks.push_back(std::move(chunk));
   }
-  if (hub_ != nullptr) {
-    // A restart for the same (to, group) replaces the cursor below:
-    // retire the superseded transfer's in-flight entry first.
-    if (const auto oit = outbound_snapshots_.find({to, group});
-        oit != outbound_snapshots_.end()) {
-      end_outbound_op(oit->second);
-    }
-    out.inflight_token = hub_->inflight.begin(
-        obs::OpKind::kSnapshotOut, std::uint32_t(self_.value),
-        group.label(), to.value, env_.now().usec, total);
+  // A restart for the same (to, group) replaces the cursor below:
+  // retire the superseded transfer's in-flight entry first.
+  if (const auto oit = outbound_snapshots_.find({to, group});
+      oit != outbound_snapshots_.end()) {
+    end_outbound_op(oit->second);
   }
+  out.inflight_token = hub_.inflight.begin(
+      obs::OpKind::kSnapshotOut, std::uint32_t(self_.value), group.label(),
+      to.value, env_.now().usec, total);
   outbound_snapshots_[{to, group}] = std::move(out);
   pump_snapshots();
 }
@@ -1214,9 +1218,7 @@ std::size_t ClashServer::pump_snapshots() {
         // erase this very map entry (stale tokens are ignored).
         const std::uint64_t tok = out.inflight_token;
         env_.send(key.first, msg);
-        if (hub_ != nullptr && tok != 0) {
-          hub_->inflight.progress(tok, env_.now().usec);
-        }
+        if (tok != 0) hub_.inflight.progress(tok, env_.now().usec);
       }
     }
     if (outbound_snapshots_.empty()) break;
@@ -1292,7 +1294,7 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
   const auto it = replicas_.find(m.group);
   if (it == replicas_.end()) {
     // No base to apply deltas onto: nack so the sender repairs us.
-    env_.send(from, ReplAck{m.group, repl::LogHead{}, false});
+    send_nack(from, m.group, repl::LogHead{});
     return;
   }
   ReplicaRecord& rec = it->second;
@@ -1313,7 +1315,7 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
     }
     // Epoch change or a gap: nack with our real head; the sender
     // diffs us forward (suffix or snapshot).
-    env_.send(from, ReplAck{m.group, head, false});
+    send_nack(from, m.group, head);
     return;
   }
   // Skip the overlap (idempotent re-delivery), apply the rest.
@@ -1329,55 +1331,86 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
   const std::size_t applied =
       m.entries.size() > skip ? m.entries.size() - skip : 0;
   if (applied > 0) {
-    hub_->tracer.record(obs::SpanKind::kReplApply, self_.value, env_.now(),
+    hub_.tracer.record(obs::SpanKind::kReplApply, self_.value, env_.now(),
                         SimDuration{0}, applied, active_trace_);
     if (recovery_.active(m.group)) {
       recovery_.note_entries_repaired(m.group, applied);
       progress_recovery_op(m.group, applied);
     }
   }
-  env_.send(from, ReplAck{m.group, rec.log.head(), true});
+  owe_ack(from, m.group, rec.log.head());
+}
+
+void ClashServer::send_nack(ServerId to, const KeyGroup& group,
+                            repl::LogHead head) {
+  env_.send(to, ReplAck{{GroupHead{group, head}}, false});
+}
+
+void ClashServer::owe_ack(ServerId to, const KeyGroup& group,
+                          repl::LogHead head) {
+  owed_acks_[to][group] = head;
+  if (ack_flush_timer_ != 0) return;
+  // A synchronous env flushes inline and returns 0: nothing stays armed.
+  ack_flush_timer_ =
+      env_.defer_after(kAckWindow, [this] { flush_owed_acks(); });
+}
+
+void ClashServer::flush_owed_acks() {
+  ack_flush_timer_ = 0;
+  // Move the map out first: a synchronous env delivers each ack
+  // re-entrantly, and the owner's reaction can owe us new acks.
+  const auto owed = std::exchange(owed_acks_, {});
+  for (const auto& [peer, groups] : owed) {
+    ReplAck ack;
+    ack.heads.reserve(groups.size());
+    for (const auto& [group, head] : groups) {
+      ack.heads.push_back(GroupHead{group, head});
+    }
+    env_.send(peer, ack);
+  }
 }
 
 void ClashServer::handle_repl_ack(ServerId from, const ReplAck& m) {
-  // Positive acks confirm progress and need no bookkeeping; a nack
-  // asks for repair, served from the owner log or, on a non-owner
-  // (peer recovery), from the replica record. The nack also aborts any
-  // snapshot still streaming to that peer for the group — the receiver
-  // tore down its assembly, so the unsent chunks would only be nacked
-  // again; repair restarts the transfer from scratch instead.
-  if (m.ok) {
-    // First positive ack at or past an in-flight batch head commits
-    // it: record ReplAppend -> ReplAck latency (later acks for the
-    // same head find the deque already drained).
-    const auto it = pending_commits_.find(m.group);
-    if (it != pending_commits_.end()) {
-      auto& inflight = it->second;
-      const SimTime now = env_.now();
-      while (!inflight.empty() && inflight.front().epoch == m.head.epoch &&
-             inflight.front().seq <= m.head.seq) {
-        const SimDuration latency = now - inflight.front().sent;
-        commit_latency_us_.record_signed(latency.usec);
-        hub_->tracer.record(obs::SpanKind::kCommit, self_.value,
-                            inflight.front().sent, latency,
-                            inflight.front().seq,
-                            inflight.front().trace_id);
-        inflight.pop_front();
-      }
-      if (inflight.empty()) {
-        pending_commits_.erase(it);
-        end_append_op(m.group);
-      } else if (hub_ != nullptr) {
-        const auto at = append_ops_.find(m.group);
-        if (at != append_ops_.end()) {
-          hub_->inflight.progress(at->second, now.usec);
-        }
-      }
+  for (const GroupHead& gh : m.heads) {
+    if (m.ok) {
+      commit_acked(gh.group, gh.head);
+      continue;
     }
-    return;
+    // A nack asks for repair, served from the owner log or, on a
+    // non-owner (peer recovery), from the replica record. It also
+    // aborts any snapshot still streaming to that peer for the group —
+    // the receiver tore down its assembly, so the unsent chunks would
+    // only be nacked again; repair restarts the transfer from scratch.
+    cancel_outbound_snapshot(from, gh.group);
+    repair_peer(from, gh.group, gh.head);
   }
-  cancel_outbound_snapshot(from, m.group);
-  repair_peer(from, m.group, m.head);
+}
+
+void ClashServer::commit_acked(const KeyGroup& group,
+                               const repl::LogHead& head) {
+  // The first positive ack at or past an in-flight batch head commits
+  // it: record ReplAppend -> ReplAck latency (later acks for the same
+  // head find the deque already drained).
+  const auto it = pending_commits_.find(group);
+  if (it == pending_commits_.end()) return;
+  auto& inflight = it->second;
+  const SimTime now = env_.now();
+  while (!inflight.empty() && inflight.front().epoch == head.epoch &&
+         inflight.front().seq <= head.seq) {
+    const SimDuration latency = now - inflight.front().sent;
+    commit_latency_us_.record_signed(latency.usec);
+    hub_.tracer.record(obs::SpanKind::kCommit, self_.value,
+                       inflight.front().sent, latency, inflight.front().seq,
+                       inflight.front().trace_id);
+    inflight.pop_front();
+  }
+  if (inflight.empty()) {
+    pending_commits_.erase(it);
+    end_append_op(group);
+  } else if (const auto at = append_ops_.find(group);
+             at != append_ops_.end()) {
+    hub_.inflight.progress(at->second, now.usec);
+  }
 }
 
 void ClashServer::handle_snapshot_offer(ServerId from,
@@ -1411,10 +1444,10 @@ void ClashServer::handle_snapshot_offer(ServerId from,
   }
   flight(obs::FlightKind::kSnapshotOfferRecv, group_tag(m.group),
          m.total_chunks);
-  if (rec.pending && hub_ != nullptr) {
+  if (rec.pending) {
     // A strictly fresher offer preempts the assembly in flight; its
     // in-flight entry must not outlive the record it tracked.
-    hub_->inflight.end(rec.pending->inflight_token);
+    hub_.inflight.end(rec.pending->inflight_token);
   }
   ReplicaRecord::PendingSnapshot pending;
   pending.head = m.head;
@@ -1424,11 +1457,9 @@ void ClashServer::handle_snapshot_offer(ServerId from,
   pending.total = m.total_chunks;
   pending.started = env_.now();
   pending.trace_id = m.trace_id;
-  if (hub_ != nullptr) {
-    pending.inflight_token = hub_->inflight.begin(
-        obs::OpKind::kSnapshotIn, std::uint32_t(self_.value),
-        m.group.label(), from.value, env_.now().usec, m.total_chunks);
-  }
+  pending.inflight_token = hub_.inflight.begin(
+      obs::OpKind::kSnapshotIn, std::uint32_t(self_.value), m.group.label(),
+      from.value, env_.now().usec, m.total_chunks);
   rec.pending = std::move(pending);
   rec.last_nacked = repl::LogHead{};  // the new stream starts clean
 }
@@ -1469,12 +1500,12 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
     if (rec.pending) {
       flight(obs::FlightKind::kSnapshotAborted, group_tag(m.group),
              from.value);
-      if (hub_ != nullptr) hub_->inflight.end(rec.pending->inflight_token);
+      hub_.inflight.end(rec.pending->inflight_token);
     }
     rec.pending.reset();
     rec.last_nacked = m.head;
     stats_.snapshot_aborts++;
-    env_.send(from, ReplAck{m.group, rec.log.head(), false});
+    send_nack(from, m.group, rec.log.head());
     return;
   }
   ReplicaRecord::PendingSnapshot& p = *rec.pending;
@@ -1493,9 +1524,7 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
                      m.app_state.end());
   for (const auto& d : m.app_deltas) p.app_deltas.push_back(d);
   ++p.received;
-  if (hub_ != nullptr) {
-    hub_->inflight.progress(p.inflight_token, env_.now().usec);
-  }
+  hub_.inflight.progress(p.inflight_token, env_.now().usec);
   if (p.received < p.total) return;
 
   // Complete: install the image and re-anchor the retained log.
@@ -1508,17 +1537,17 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
   rec.log.reset(m.head.epoch, m.head.seq);
   if (rec.advertised < m.head) rec.advertised = m.head;
   snapshot_install_us_.record_signed((env_.now() - p.started).usec);
-  hub_->tracer.record(obs::SpanKind::kSnapshotTransfer, self_.value,
+  hub_.tracer.record(obs::SpanKind::kSnapshotTransfer, self_.value,
                       p.started, env_.now() - p.started, p.total,
                       p.trace_id);
   flight(obs::FlightKind::kSnapshotInstalled, group_tag(m.group), p.total);
-  if (hub_ != nullptr) hub_->inflight.end(p.inflight_token);
+  hub_.inflight.end(p.inflight_token);
   rec.pending.reset();
   if (recovery_.active(m.group)) {
     recovery_.note_snapshot_pulled(m.group);
     progress_recovery_op(m.group, 1);
   }
-  env_.send(from, ReplAck{m.group, rec.log.head(), true});
+  owe_ack(from, m.group, rec.log.head());
 }
 
 void ClashServer::handle_ae_probe(ServerId from, const AntiEntropyProbe& m) {
@@ -1614,13 +1643,11 @@ void ClashServer::begin_group_recovery(const KeyGroup& group) {
   if (!recovery_.begin(group, start)) return;  // probes already out
   recovery_started_.try_emplace(group, env_.now());
   flight(obs::FlightKind::kRecoveryBegin, group_tag(group));
-  if (hub_ != nullptr) {
-    auto& tok = recovery_ops_[group];
-    if (tok != 0) hub_->inflight.end(tok);
-    tok = hub_->inflight.begin(obs::OpKind::kRecoveryPull,
-                               std::uint32_t(self_.value), group.label(),
-                               0, env_.now().usec);
-  }
+  auto& tok = recovery_ops_[group];
+  if (tok != 0) hub_.inflight.end(tok);
+  tok = hub_.inflight.begin(obs::OpKind::kRecoveryPull,
+                            std::uint32_t(self_.value), group.label(), 0,
+                            env_.now().usec);
   const AntiEntropyDiff pull{{GroupHead{group, start}}};
   for (const ServerId peer : replica_set(group)) {
     if (peer != self_) env_.send(peer, pull);
@@ -1674,7 +1701,7 @@ bool ClashServer::promote_with_recovery(const KeyGroup& group) {
       rs != recovery_started_.end()) {
     const SimDuration took = env_.now() - rs->second;
     failover_us_.record_signed(took.usec);
-    hub_->tracer.record(obs::SpanKind::kFailover, self_.value, rs->second,
+    hub_.tracer.record(obs::SpanKind::kFailover, self_.value, rs->second,
                         took, recovered ? 1 : 0);
     recovery_started_.erase(rs);
   }

@@ -77,6 +77,21 @@ class ServerEnv {
   /// group.
   virtual void defer(std::function<void()> fn) { fn(); }
 
+  /// Run `fn` once, `delay` from now, and return a handle for
+  /// cancel_deferred (0: nothing left to cancel). Synchronous
+  /// environments have no timers, so the default runs it inline, the
+  /// same way defer does. ClashServer uses this to batch positive
+  /// replication acks per peer over ClashServer::kAckWindow.
+  virtual std::uint64_t defer_after(SimDuration delay,
+                                    std::function<void()> fn) {
+    (void)delay;
+    fn();
+    return 0;
+  }
+
+  /// Drop a defer_after callback that has not run yet.
+  virtual void cancel_deferred(std::uint64_t handle) { (void)handle; }
+
   /// Table-change notifications: `group` became / stopped being an
   /// active leaf on this server. Default no-ops; the simulator uses
   /// them to maintain a global owner index for exact metrics.
@@ -145,6 +160,14 @@ class ClashServer {
  public:
   ClashServer(ServerId self, const ClashConfig& cfg, ServerEnv& env,
               dht::KeyHasher hasher);
+  ~ClashServer();
+  ClashServer(const ClashServer&) = delete;
+  ClashServer& operator=(const ClashServer&) = delete;
+
+  /// How long a replica holds positive ReplAcks before sending them:
+  /// every group head owed to one peer within the window leaves as a
+  /// single cumulative ReplAck. Nacks are never held.
+  static constexpr SimDuration kAckWindow{1000};
 
   [[nodiscard]] ServerId id() const { return self_; }
   [[nodiscard]] const ClashConfig& config() const { return cfg_; }
@@ -179,7 +202,7 @@ class ClashServer {
   /// Meter `bytes` of durable-storage writes for `group`.
   void meter_storage_bytes(const KeyGroup& group, std::uint64_t bytes);
   /// The hub this server records into (env-provided).
-  [[nodiscard]] obs::Hub& obs_hub() const { return *hub_; }
+  [[nodiscard]] obs::Hub& obs_hub() const { return hub_; }
 
   // --- Bootstrap -----------------------------------------------------
   /// Install an entry directly (used by the bootstrap splitter and by
@@ -356,6 +379,17 @@ class ClashServer {
   void handle_snapshot_chunk(ServerId from, const SnapshotChunk& m);
   void handle_ae_probe(ServerId from, const AntiEntropyProbe& m);
   void handle_ae_diff(ServerId from, const AntiEntropyDiff& m);
+
+  /// Nack one group's append or snapshot chunk now, naming our head.
+  void send_nack(ServerId to, const KeyGroup& group, repl::LogHead head);
+  /// Owe `to` a positive ack for `group` at `head` (newer heads replace
+  /// older ones) and arm the kAckWindow flush if it is not armed.
+  void owe_ack(ServerId to, const KeyGroup& group, repl::LogHead head);
+  /// Send every owed head: one cumulative ReplAck per peer.
+  void flush_owed_acks();
+  /// Owner side of a positive ack: commit the in-flight batches the
+  /// holder's head now covers.
+  void commit_acked(const KeyGroup& group, const repl::LogHead& head);
 
   /// Push lease-replicas of every active group to its ring successors.
   void send_replicas();
@@ -556,7 +590,7 @@ class ClashServer {
   MessageStats stats_;
 
   // --- Observability (src/obs/) ----------------------------------------
-  obs::Hub* hub_ = nullptr;  // env_.obs(), cached at construction
+  obs::Hub& hub_;  // env_.obs(), cached at construction
   obs::HistogramHandle commit_latency_us_;
   obs::HistogramHandle failover_us_;
   obs::HistogramHandle snapshot_install_us_;
@@ -574,6 +608,10 @@ class ClashServer {
     std::uint64_t trace_id = 0;
   };
   std::map<KeyGroup, std::deque<PendingCommit>> pending_commits_;
+  /// Positive acks owed per peer, newest head per group (owe_ack).
+  std::map<ServerId, std::map<KeyGroup, repl::LogHead>> owed_acks_;
+  /// Pending flush_owed_acks (ServerEnv::defer_after handle; 0: none).
+  std::uint64_t ack_flush_timer_ = 0;
   /// Recovery sessions opened at promote time (failover span start).
   std::map<KeyGroup, SimTime> recovery_started_;
 
@@ -583,13 +621,10 @@ class ClashServer {
   [[nodiscard]] static std::uint64_t group_tag(const KeyGroup& group) {
     return std::hash<KeyGroup>{}(group);
   }
-  /// Record one lifecycle event in the hub's flight ring (no-op when
-  /// observability is detached).
+  /// Record one lifecycle event in the hub's flight ring.
   void flight(obs::FlightKind kind, std::uint64_t a, std::uint64_t b = 0) {
-    if (hub_ != nullptr) {
-      hub_->flight.record(kind, std::uint32_t(self_.value),
-                          env_.now().usec, a, b);
-    }
+    hub_.flight.record(kind, std::uint32_t(self_.value), env_.now().usec, a,
+                       b);
   }
   /// One kReplAppend in-flight op per group while its pending-commit
   /// deque is non-empty (token keyed like pending_commits_).
@@ -601,26 +636,23 @@ class ClashServer {
   void end_append_op(const KeyGroup& group) {
     const auto it = append_ops_.find(group);
     if (it == append_ops_.end()) return;
-    if (hub_ != nullptr) hub_->inflight.end(it->second);
+    hub_.inflight.end(it->second);
     append_ops_.erase(it);
   }
   void end_recovery_op(const KeyGroup& group) {
     const auto it = recovery_ops_.find(group);
     if (it == recovery_ops_.end()) return;
-    if (hub_ != nullptr) hub_->inflight.end(it->second);
+    hub_.inflight.end(it->second);
     recovery_ops_.erase(it);
   }
   void progress_recovery_op(const KeyGroup& group, std::uint64_t delta) {
-    if (hub_ == nullptr) return;
     const auto it = recovery_ops_.find(group);
     if (it != recovery_ops_.end()) {
-      hub_->inflight.progress(it->second, env_.now().usec, delta);
+      hub_.inflight.progress(it->second, env_.now().usec, delta);
     }
   }
   void end_outbound_op(OutboundSnapshot& out) {
-    if (hub_ != nullptr && out.inflight_token != 0) {
-      hub_->inflight.end(out.inflight_token);
-    }
+    if (out.inflight_token != 0) hub_.inflight.end(out.inflight_token);
     out.inflight_token = 0;
   }
   /// Group lifecycle hooks with a flight-ring record attached.

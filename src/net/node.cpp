@@ -86,6 +86,18 @@ class ClashNode::Env final : public ServerEnv {
     node_.loop_->defer(std::move(fn));
   }
 
+  std::uint64_t defer_after(SimDuration delay,
+                            std::function<void()> fn) override {
+    node_.loop_->assert_on_loop();
+    return node_.loop_->call_after(std::chrono::microseconds(delay.usec),
+                                   std::move(fn));
+  }
+
+  void cancel_deferred(std::uint64_t handle) override {
+    node_.loop_->assert_on_loop();
+    node_.loop_->cancel_timer(handle);
+  }
+
   [[nodiscard]] obs::Hub& obs() override { return node_.hub_; }
 
  private:

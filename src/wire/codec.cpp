@@ -358,8 +358,7 @@ void encode_message(Writer& w, const Message& msg) {
                         });
         } else if constexpr (std::is_same_v<T, ReplAck>) {
           w.u8(std::uint8_t(MsgType::kReplAck));
-          encode_group(w, m.group);
-          encode_log_head(w, m.head);
+          encode_vector(w, m.heads, encode_group_head);
           w.boolean(m.ok);
         } else if constexpr (std::is_same_v<T, SnapshotOffer>) {
           w.u8(std::uint8_t(MsgType::kSnapshotOffer));
@@ -586,7 +585,8 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
       m.epoch = r.u64();
       m.base_seq = r.u64();
       m.trace_id = r.u64();
-      if (!decode_vector(r, m.entries, 9, decode_log_op)) {
+      // 5 = the smallest op: kind + an empty app delta's length.
+      if (!decode_vector(r, m.entries, 5, decode_log_op)) {
         return Error::protocol("bad log entries");
       }
       out = std::move(m);
@@ -594,10 +594,11 @@ Expected<Message> decode_message(std::span<const std::uint8_t> payload) {
     }
     case MsgType::kReplAck: {
       ReplAck m;
-      m.group = decode_group(r);
-      m.head = decode_log_head(r);
+      if (!decode_vector(r, m.heads, 26, decode_group_head)) {
+        return Error::protocol("bad ack heads");
+      }
       m.ok = r.boolean();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kSnapshotOffer: {

@@ -98,7 +98,11 @@ std::vector<Message> representative_messages() {
   app.checksum = content_crc(app);
   all.emplace_back(app);
 
-  all.emplace_back(ReplAck{g, head, false});
+  // Cumulative ack: several group heads owed to one peer.
+  all.emplace_back(ReplAck{{GroupHead{g, head},
+                            GroupHead{KeyGroup::parse("10*", 24).value(),
+                                      repl::LogHead{3, 9}}},
+                           true});
 
   SnapshotOffer offer;
   offer.group = g;

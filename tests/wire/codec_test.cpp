@@ -160,10 +160,11 @@ TEST(Codec, SnapshotAndAntiEntropyRoundTrip) {
   const KeyGroup g = KeyGroup::parse("0110*", 24).value();
   const repl::LogHead head{7, 123};
 
-  const auto ack =
-      std::get<ReplAck>(round_trip(Message(ReplAck{g, head, false})));
-  EXPECT_EQ(ack.group, g);
-  EXPECT_EQ(ack.head, head);
+  const auto ack = std::get<ReplAck>(
+      round_trip(Message(ReplAck{{GroupHead{g, head}}, false})));
+  ASSERT_EQ(ack.heads.size(), 1u);
+  EXPECT_EQ(ack.heads[0].group, g);
+  EXPECT_EQ(ack.heads[0].head, head);
   EXPECT_FALSE(ack.ok);
 
   SnapshotOffer offer;
@@ -213,6 +214,55 @@ TEST(Codec, SnapshotAndAntiEntropyRoundTrip) {
   const auto diff_out = std::get<AntiEntropyDiff>(round_trip(Message(diff)));
   ASSERT_EQ(diff_out.behind.size(), 1u);
   EXPECT_EQ(diff_out.behind[0].head, (repl::LogHead{0, 0}));
+}
+
+TEST(Codec, ReplAckRoundTripsZeroOneAndManyHeads) {
+  for (const std::size_t n : {0u, 1u, 37u}) {
+    ReplAck m;
+    m.ok = n != 1;  // nacks carry one head; cover both flags
+    for (std::size_t i = 0; i < n; ++i) {
+      m.heads.push_back(
+          GroupHead{KeyGroup::of(Key(std::uint64_t(i) << 18, 24), 6),
+                    repl::LogHead{i + 1, 1000 * i + 7}});
+    }
+    const auto out = std::get<ReplAck>(round_trip(Message(m)));
+    EXPECT_EQ(out.ok, m.ok) << n;
+    ASSERT_EQ(out.heads.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out.heads[i].group, m.heads[i].group) << i;
+      EXPECT_EQ(out.heads[i].head, m.heads[i].head) << i;
+    }
+  }
+}
+
+TEST(Codec, ReplAckRejectsTruncatedHeads) {
+  // A cumulative ack cut anywhere — mid-count, mid-head, or missing
+  // its ok flag — must not decode into a shorter plausible ack.
+  ReplAck m;
+  for (unsigned i = 0; i < 3; ++i) {
+    m.heads.push_back(GroupHead{KeyGroup::parse("01*", 24).value(),
+                                repl::LogHead{2, 40 + i}});
+  }
+  Writer w;
+  encode_message(w, Message(m));
+  const auto bytes = w.take();
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(decode_message(std::span(bytes.data(), len)).ok())
+        << "ack prefix of " << len << " bytes decoded";
+  }
+}
+
+TEST(Codec, ReplAckCapsHeadCount) {
+  // A count claiming more heads than bytes remain is rejected before
+  // any allocation, like every other decoded vector.
+  Writer w;
+  w.u8(std::uint8_t(MsgType::kReplAck));
+  w.u32(0xFFFFFFFF);
+  encode_group(w, KeyGroup::parse("01*", 24).value());
+  w.u64(1);
+  w.u64(2);
+  w.boolean(true);
+  EXPECT_FALSE(decode_message(w.data()).ok());
 }
 
 TEST(Codec, SnapshotFramesRejectTruncationAtEveryBoundary) {
@@ -282,6 +332,20 @@ TEST(Codec, SnapshotFramesRejectDuplicatedPayloads) {
   doubled_chunk.insert(doubled_chunk.end(), chunk_copy.begin(),
                        chunk_copy.end());
   EXPECT_FALSE(decode_message(doubled_chunk).ok());
+}
+
+TEST(Codec, ReplAppendRoundTripsShortAppDeltas) {
+  // An app delta op encodes in as little as 5 bytes (kind + length),
+  // less than any other op; the entry-count guard must not reject a
+  // batch of them.
+  ReplAppend m;
+  m.group = KeyGroup::parse("0*", 24).value();
+  m.entries.push_back(repl::LogOp::app_delta_op({}));
+  m.entries.push_back(repl::LogOp::app_delta_op({1, 2, 3}));
+  const auto out = std::get<ReplAppend>(round_trip(Message(m)));
+  ASSERT_EQ(out.entries.size(), 2u);
+  EXPECT_TRUE(out.entries[0].app_delta.empty());
+  EXPECT_EQ(out.entries[1].app_delta, (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
 TEST(Codec, ReplAppendRejectsBadOpKind) {
