@@ -74,7 +74,6 @@ SimCluster::Config cluster_config(ClashConfig::DurabilityMode mode,
   cfg.clash.initial_depth = 4;
   cfg.clash.capacity = 1e9;  // isolate durability from splitting
   cfg.clash.replication_factor = 2;
-  cfg.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.clash.durability_mode = mode;
   cfg.clash.fsync_policy = ClashConfig::FsyncPolicy::kPerAppend;
   cfg.clash.wal_segment_bytes = 64 * 1024;

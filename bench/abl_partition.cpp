@@ -59,7 +59,6 @@ ChurnSim::Config base_config(std::size_t servers, std::uint64_t seed) {
   cfg.cluster.clash.initial_depth = 3;
   cfg.cluster.clash.capacity = 1e9;  // isolate replication from splitting
   cfg.cluster.clash.replication_factor = 2;
-  cfg.cluster.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.protocol_period = SimTime::from_seconds(1);
   cfg.gossip_delay = SimTime::from_seconds(0.02);
   cfg.seed = seed * 31 + 7;
@@ -99,23 +98,6 @@ std::size_t live_queries(const SimCluster& cluster) {
     }
   }
   return total;
-}
-
-std::optional<std::string> heads_converged(const SimCluster& cluster) {
-  for (const auto& [group, owner] : cluster.owner_index()) {
-    const auto owner_head = cluster.server(owner).log_head(group);
-    if (!owner_head) return "owner of " + group.label() + " has no log";
-    for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
-      const ServerId id{i};
-      if (!cluster.is_alive(id) || id == owner) continue;
-      if (!cluster.server(id).has_replica(group)) continue;
-      if (cluster.server(id).replica_head(group) != owner_head) {
-        return group.label() + ": replica on s" + std::to_string(i) +
-               " diverged";
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 ScenarioResult run_scenario(const char* scenario, std::size_t servers,
@@ -160,7 +142,7 @@ ScenarioResult run_scenario(const char* scenario, std::size_t servers,
   // rounds after the heal before calling the scenario diverged.
   for (int minutes = 0; minutes < 31 && !converged; ++minutes) {
     sim.run_for(SimTime::from_minutes(1));
-    converged = heads_converged(sim.cluster()) == std::nullopt &&
+    converged = sim.cluster().check_replica_heads() == std::nullopt &&
                 live_queries(sim.cluster()) == r.queries_registered;
   }
   r.converged = converged;

@@ -73,7 +73,6 @@ ChurnSim::Config base_config(std::size_t servers, std::uint64_t seed) {
   cfg.cluster.clash.initial_depth = 3;
   cfg.cluster.clash.capacity = 1e9;  // isolate replication from splitting
   cfg.cluster.clash.replication_factor = 2;
-  cfg.cluster.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.protocol_period = SimTime::from_seconds(1);
   cfg.gossip_delay = SimTime::from_seconds(0.02);
   cfg.seed = seed * 31 + 7;
@@ -113,23 +112,6 @@ std::size_t replica_records(const SimCluster& cluster) {
     total += cluster.server(ServerId{i}).replica_count();
   }
   return total;
-}
-
-std::optional<std::string> heads_converged(const SimCluster& cluster) {
-  for (const auto& [group, owner] : cluster.owner_index()) {
-    const auto owner_head = cluster.server(owner).log_head(group);
-    if (!owner_head) return "owner of " + group.label() + " has no log";
-    for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
-      const ServerId id{i};
-      if (!cluster.is_alive(id) || id == owner) continue;
-      if (!cluster.server(id).has_replica(group)) continue;
-      if (cluster.server(id).replica_head(group) != owner_head) {
-        return group.label() + ": replica on s" + std::to_string(i) +
-               " diverged";
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 /// Every live node's census table holds exactly the live set — the
@@ -294,13 +276,13 @@ int main(int argc, char** argv) {
     const auto healed_at = sim.cluster().now();
     for (int m = 0; m < int(settle_minutes) && !r.converged; ++m) {
       sim.run_for(SimTime::from_minutes(1));
-      r.converged = heads_converged(sim.cluster()) == std::nullopt &&
+      r.converged = sim.cluster().check_replica_heads() == std::nullopt &&
                     live_queries(sim.cluster()) == acked &&
                     sim.cluster().alive_count() == servers;
     }
     r.settle_minutes = (sim.cluster().now() - healed_at).minutes();
     if (!r.converged) {
-      const auto head_err = heads_converged(sim.cluster());
+      const auto head_err = sim.cluster().check_replica_heads();
       std::fprintf(stderr,
                    "round %u stuck: heads=%s queries=%zu/%zu alive=%zu/%zu "
                    "ring_ok=%d\n",

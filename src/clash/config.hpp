@@ -65,30 +65,25 @@ struct ClashConfig {
   /// materialised lazily (DHT(24) would otherwise need 16M entries).
   bool ephemeral_groups = false;
 
-  /// Fault-tolerance extension (off = paper-faithful): each active key
-  /// group is lease-replicated to this many ring successors every
-  /// LOAD_CHECK_PERIOD; when a server fails, the DHT's new owner of the
-  /// group promotes its replica. Staleness is bounded by one period.
+  /// Fault-tolerance extension (0 = paper-faithful): each active key
+  /// group keeps a per-group operation log (src/repl/) streamed to this
+  /// many ring successors. Every mutation reaches the replica set
+  /// immediately; the periodic traffic is one (epoch, seq)
+  /// anti-entropy probe per holder; failover and rejoin pull exactly
+  /// the missing suffix (a snapshot only when it was compacted).
   unsigned replication_factor = 0;
 
-  /// How replicas track the owner (src/repl/):
-  ///  - kSnapshot: the original lease scheme — a full state snapshot
-  ///    every check period. Staleness up to one period; cost linear in
-  ///    state size per period.
-  ///  - kLog: per-group operation log. Every mutation is appended and
-  ///    streamed to the replica set immediately; the periodic traffic
-  ///    shrinks to an (epoch, seq) anti-entropy probe; failover and
-  ///    rejoin pull exactly the missing suffix (snapshot only when the
-  ///    suffix was compacted). Staleness ~ one message delay.
-  enum class ReplicationMode : std::uint8_t { kSnapshot, kLog };
-  ReplicationMode replication_mode = ReplicationMode::kSnapshot;
+  /// Read by nothing: log replication is the only engine. Kept only
+  /// because perfbench/src/cluster.cpp pins it.
+  enum class ReplicationMode : std::uint8_t { kLog };
+  ReplicationMode replication_mode = ReplicationMode::kLog;
 
-  /// Log mode: retained entries per group log before the owner cuts a
-  /// fresh snapshot and compacts (bounds both memory and the size of a
+  /// Retained entries per group log before the owner cuts a fresh
+  /// snapshot and compacts (bounds both memory and the size of a
   /// catch-up delta).
   unsigned log_compact_threshold = 256;
 
-  /// Log mode: streams+queries per SnapshotChunk message.
+  /// Streams+queries per SnapshotChunk message.
   unsigned snapshot_chunk_objects = 128;
 
   // --- Durable storage subsystem (src/storage/) ------------------------

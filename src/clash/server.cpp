@@ -126,7 +126,7 @@ void ClashServer::install_entry(const ServerTableEntry& entry) {
   if (entry.active) {
     state_.try_emplace(entry.group);
     note_group_activated(entry.group);
-    if (cfg_.replication_factor > 0) replicate_group(entry);
+    if (log_replication()) snapshot_group(entry);
     ensure_durable_group(entry);
   }
 }
@@ -233,8 +233,6 @@ void ClashServer::deliver(ServerId from, const Message& msg) {
           handle_reclaim_ack(from, m);
         } else if constexpr (std::is_same_v<T, ReclaimRefused>) {
           handle_reclaim_refused(from, m);
-        } else if constexpr (std::is_same_v<T, ReplicateGroup>) {
-          handle_replicate(from, m);
         } else if constexpr (std::is_same_v<T, DropReplica>) {
           handle_drop_replica(from, m);
         } else if constexpr (std::is_same_v<T, ReplAppend>) {
@@ -291,7 +289,7 @@ void ClashServer::handle_accept_keygroup(ServerId from,
   // in the deployed layer, leave its key range unroutable -- no
   // survivor would even know the group existed).
   if (log_replication() || durable()) init_group_log(m.group, m.epoch + 1);
-  if (cfg_.replication_factor > 0) replicate_group(entry);
+  if (log_replication()) snapshot_group(entry);
 
   env_.send(from, AcceptKeyGroupAck{m.group});
 }
@@ -387,7 +385,7 @@ void ClashServer::handle_reclaim_ack(ServerId from, const ReclaimAck& m) {
   parent_entry->right_child = ServerId{};
   state_[parent_group] = std::move(merged);
   note_group_activated(parent_group);
-  if (cfg_.replication_factor > 0) replicate_group(*parent_entry);
+  if (log_replication()) snapshot_group(*parent_entry);
   ensure_durable_group(*parent_entry);
   // The merged parent's baseline is anchored; only now may the left
   // child's durable record be dropped (see split_group).
@@ -466,7 +464,7 @@ void ClashServer::split_group(const KeyGroup& group,
     // The left child is a final placement: replicate it immediately so
     // it never spends a check period unprotected (see
     // handle_accept_keygroup).
-    if (cfg_.replication_factor > 0) replicate_group(left_entry);
+    if (log_replication()) snapshot_group(left_entry);
     ensure_durable_group(left_entry);
     retired.push_back(current);
 
@@ -484,7 +482,7 @@ void ClashServer::split_group(const KeyGroup& group,
         table_.insert(right_entry);
         state_[right] = std::move(right_state);
         note_group_activated(right);
-        if (cfg_.replication_factor > 0) replicate_group(right_entry);
+        if (log_replication()) snapshot_group(right_entry);
         ensure_durable_group(right_entry);
         stats_.self_remaps++;
       } else {
@@ -553,16 +551,9 @@ void ClashServer::run_load_check() {
   }
   send_load_reports();
   gc_stale_replicas();
-  if (cfg_.replication_factor > 0) {
-    // Log mode: the steady-state refresh shrinks from a full snapshot
-    // per group to one (epoch, seq) vector per holder — divergence is
-    // repaired by exactly the missing suffix.
-    if (log_replication()) {
-      send_anti_entropy();
-    } else {
-      send_replicas();
-    }
-  }
+  // The steady-state refresh is one (epoch, seq) vector per holder;
+  // divergence is repaired by exactly the missing suffix.
+  if (log_replication()) send_anti_entropy();
   // Resume any snapshot transfer that paused on transport
   // backpressure (the drain callback is the fast path; this is the
   // periodic backstop).
@@ -734,42 +725,8 @@ void ClashServer::try_consolidate() {
 // ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
-// Fault tolerance: lease replication and failover promotion.
+// Fault tolerance: replica retirement and lease GC.
 // ---------------------------------------------------------------------------
-
-void ClashServer::send_replicas() {
-  for (const ServerTableEntry* e : table_.active_entries()) {
-    replicate_group(*e);
-  }
-}
-
-void ClashServer::replicate_group(const ServerTableEntry& entry) {
-  if (log_replication()) {
-    // Log mode: a full snapshot (activation, compaction) instead of a
-    // lease refresh; steady-state protection flows through log_op.
-    snapshot_group(entry);
-    return;
-  }
-  const auto targets = env_.replica_targets(
-      hasher_.hash_key(entry.group.virtual_key()), cfg_.replication_factor);
-  if (targets.empty()) return;
-  ReplicateGroup msg;
-  msg.group = entry.group;
-  msg.owner = self_;
-  msg.root = entry.root;
-  msg.parent = entry.parent;
-  const auto st = state_.find(entry.group);
-  if (st != state_.end()) {
-    msg.streams.reserve(st->second.streams.size());
-    for (const auto& [_, s] : st->second.streams) msg.streams.push_back(s);
-    msg.queries.reserve(st->second.queries.size());
-    for (const auto& [_, q] : st->second.queries) msg.queries.push_back(q);
-  }
-  for (const ServerId target : targets) {
-    if (target == self_) continue;
-    env_.send(target, msg);
-  }
-}
 
 void ClashServer::retire_replicas(const KeyGroup& group) {
   cancel_outbound_snapshots(group);  // the image being streamed is dead
@@ -804,21 +761,6 @@ void ClashServer::gc_stale_replicas() {
       ++it;
     }
   }
-}
-
-void ClashServer::handle_replicate(ServerId /*from*/,
-                                   const ReplicateGroup& m) {
-  ReplicaRecord rec;
-  rec.owner = m.owner;
-  rec.root = m.root;
-  rec.parent = m.parent;
-  rec.refreshed = env_.now();
-  for (const auto& s : m.streams) {
-    rec.state.streams[s.source] = s;
-    rec.state.stream_rate += s.rate;
-  }
-  for (const auto& q : m.queries) rec.state.queries[q.id] = q;
-  replicas_[m.group] = std::move(rec);
 }
 
 void ClashServer::handle_drop_replica(ServerId /*from*/,
@@ -867,8 +809,8 @@ void ClashServer::persist_group_snapshot(const ServerTableEntry& entry,
 
 void ClashServer::ensure_durable_group(const ServerTableEntry& entry) {
   if (!durable() || logs_.count(entry.group) > 0) return;
-  // Creating the log writes the baseline snapshot; in log-replication
-  // mode the replica push (snapshot_group) usually beat us here and
+  // Creating the log writes the baseline snapshot; on a replicated
+  // server the replica push (snapshot_group) usually beat us here and
   // this is a no-op.
   init_group_log(entry.group, 1);
 }
@@ -1255,7 +1197,7 @@ void ClashServer::send_anti_entropy() {
   for (const ServerTableEntry* e : table_.active_entries()) {
     const auto lit = logs_.find(e->group);
     if (lit == logs_.end()) {
-      replicate_group(*e);  // missing log: heal with a fresh snapshot
+      snapshot_group(*e);  // missing log: heal with a fresh snapshot
       continue;
     }
     const auto head = lit->second.head();
@@ -1590,7 +1532,7 @@ void ClashServer::repair_peer(ServerId to, const KeyGroup& group,
   const ServerTableEntry* entry = table_.find(group);
   if (entry != nullptr && entry->active) {
     const auto lit = logs_.find(group);
-    if (lit == logs_.end()) return;  // snapshot mode: nothing to diff
+    if (lit == logs_.end()) return;  // no log yet: nothing to diff
     repl::GroupLog& log = lit->second;
     std::vector<repl::LogOp> out;
     if (have.epoch == log.epoch() && log.suffix_from(have.seq, out)) {
@@ -1652,65 +1594,6 @@ void ClashServer::begin_group_recovery(const KeyGroup& group) {
   for (const ServerId peer : replica_set(group)) {
     if (peer != self_) env_.send(peer, pull);
   }
-}
-
-bool ClashServer::promote_with_recovery(const KeyGroup& group) {
-  // Pull the freshest suffix from the surviving holders before
-  // installing anything: a replica that lags the highest advertised
-  // head is repaired (or superseded by a fresher peer), never silently
-  // promoted. Synchronous transports complete the repair inside
-  // begin_group_recovery; the TCP layer opened the session during its
-  // recovery-grace window.
-  begin_group_recovery(group);
-
-  const auto it = replicas_.find(group);
-  const bool recovered = it != replicas_.end();
-
-  ServerTableEntry entry;
-  entry.group = group;
-  entry.active = true;
-  repl::LogHead head;
-  repl::LogHead advertised;
-  if (recovered) {
-    ReplicaRecord& rec = it->second;
-    head = rec.log.head();
-    advertised = rec.advertised;
-    entry.root = rec.root;
-    entry.parent = rec.parent;
-    table_.insert(entry);
-    state_[group] = std::move(rec.state);
-    if (app_hooks_ != nullptr) {
-      if (!rec.app_snapshot.empty()) {
-        app_hooks_->import_state(group, rec.app_snapshot);
-      }
-      for (const auto& d : rec.app_tail) app_hooks_->apply_delta(group, d);
-    }
-    replicas_.erase(it);
-    note_group_activated(group);
-    stats_.failovers++;
-  } else {
-    adopt_bare_group(entry);
-  }
-  recovery_.finish(group, head, advertised);
-  flight(obs::FlightKind::kRecoveryFinish, group_tag(group),
-         recovered ? 1 : 0);
-  flight(obs::FlightKind::kReplicaPromoted, group_tag(group),
-         recovered ? 1 : 0);
-  end_recovery_op(group);
-  if (const auto rs = recovery_started_.find(group);
-      rs != recovery_started_.end()) {
-    const SimDuration took = env_.now() - rs->second;
-    failover_us_.record_signed(took.usec);
-    hub_.tracer.record(obs::SpanKind::kFailover, self_.value, rs->second,
-                        took, recovered ? 1 : 0);
-    recovery_started_.erase(rs);
-  }
-  // New ownership line: the epoch rises above anything ever advertised
-  // and the (new) replica set gets an immediate snapshot, so a second
-  // failure in this period still finds fresh holders.
-  init_group_log(group, std::max(head.epoch, advertised.epoch) + 1);
-  replicate_group(entry);
-  return recovered;
 }
 
 std::optional<repl::LogHead> ClashServer::log_head(
@@ -1808,26 +1691,36 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
       return false;
     }
   }
-  if (log_replication()) return promote_with_recovery(group);
+  // Pull the freshest suffix from the surviving holders before
+  // installing anything: a replica that lags the highest advertised
+  // head is repaired (or superseded by a fresher peer), never silently
+  // promoted. Synchronous transports complete the repair inside
+  // begin_group_recovery; the TCP layer opened the session during its
+  // recovery-grace window. A durable-only node (factor 0) opens no
+  // session: its record is its own disk image (restore_from_storage).
+  begin_group_recovery(group);
+
   const auto it = replicas_.find(group);
+  const bool recovered = it != replicas_.end();
+
   ServerTableEntry entry;
   entry.group = group;
   entry.active = true;
-  const bool recovered = it != replicas_.end();
+  repl::LogHead head;
+  repl::LogHead advertised;
   if (recovered) {
-    entry.root = it->second.root;
-    entry.parent = it->second.parent;
+    ReplicaRecord& rec = it->second;
+    head = rec.log.head();
+    advertised = rec.advertised;
+    entry.root = rec.root;
+    entry.parent = rec.parent;
     table_.insert(entry);
-    state_[group] = std::move(it->second.state);
-    // Locally restored records (and peer-built snapshots) carry the
-    // application payload; plain lease replicas leave both empty.
+    state_[group] = std::move(rec.state);
     if (app_hooks_ != nullptr) {
-      if (!it->second.app_snapshot.empty()) {
-        app_hooks_->import_state(group, it->second.app_snapshot);
+      if (!rec.app_snapshot.empty()) {
+        app_hooks_->import_state(group, rec.app_snapshot);
       }
-      for (const auto& d : it->second.app_tail) {
-        app_hooks_->apply_delta(group, d);
-      }
+      for (const auto& d : rec.app_tail) app_hooks_->apply_delta(group, d);
     }
     replicas_.erase(it);
     note_group_activated(group);
@@ -1835,14 +1728,27 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
   } else {
     adopt_bare_group(entry);
   }
+  recovery_.finish(group, head, advertised);
+  flight(obs::FlightKind::kRecoveryFinish, group_tag(group),
+         recovered ? 1 : 0);
   flight(obs::FlightKind::kReplicaPromoted, group_tag(group),
          recovered ? 1 : 0);
-  // Re-replicate under the new ownership right away: the holders'
-  // records still name the dead owner, so until they are refreshed a
-  // second failure in this load-check period would strand a perfectly
-  // good replica (nobody would look it up under the new owner's id).
-  if (cfg_.replication_factor > 0) replicate_group(entry);
-  ensure_durable_group(entry);
+  end_recovery_op(group);
+  if (const auto rs = recovery_started_.find(group);
+      rs != recovery_started_.end()) {
+    const SimDuration took = env_.now() - rs->second;
+    failover_us_.record_signed(took.usec);
+    hub_.tracer.record(obs::SpanKind::kFailover, self_.value, rs->second,
+                        took, recovered ? 1 : 0);
+    recovery_started_.erase(rs);
+  }
+  // New ownership line: the epoch rises above anything ever advertised
+  // and the (new) replica set gets an immediate snapshot, so a second
+  // failure in this period still finds fresh holders.
+  if (log_replication() || durable()) {
+    init_group_log(group, std::max(head.epoch, advertised.epoch) + 1);
+  }
+  if (log_replication()) snapshot_group(entry);
   return recovered;
 }
 

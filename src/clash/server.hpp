@@ -230,19 +230,21 @@ class ClashServer {
   // --- Fault tolerance (replication extension) ------------------------
   /// Promote this server's replica of `group` to active ownership
   /// (called by the failover coordinator after the previous owner
-  /// died and the DHT now maps the group here). Falls back to an empty
-  /// root entry when no replica exists; returns whether state was
-  /// recovered.
+  /// died and the DHT now maps the group here, or by a restarted node
+  /// re-adopting its own disk image). Pulls the freshest suffix from
+  /// the surviving holders, then installs under a bumped epoch. Falls
+  /// back to an empty root entry when no replica exists; returns
+  /// whether state was recovered.
   bool promote_replica(const KeyGroup& group);
 
   // --- Replication & recovery subsystem (src/repl/) -------------------
-  /// True when the operation-log replication engine is active.
+  /// True when groups are replicated (the operation log is the one
+  /// replication engine).
   [[nodiscard]] bool log_replication() const {
-    return cfg_.replication_factor > 0 &&
-           cfg_.replication_mode == ClashConfig::ReplicationMode::kLog;
+    return cfg_.replication_factor > 0;
   }
 
-  /// Owner-side log head of an active group (log mode).
+  /// Owner-side log head of an active group.
   [[nodiscard]] std::optional<repl::LogHead> log_head(
       const KeyGroup& group) const;
   /// Replica-side applied head for a group held on behalf of a peer.
@@ -371,7 +373,6 @@ class ClashServer {
   void handle_reclaim(ServerId from, const ReclaimKeyGroup& m);
   void handle_reclaim_ack(ServerId from, const ReclaimAck& m);
   void handle_reclaim_refused(ServerId from, const ReclaimRefused& m);
-  void handle_replicate(ServerId from, const ReplicateGroup& m);
   void handle_drop_replica(ServerId from, const DropReplica& m);
   void handle_repl_append(ServerId from, const ReplAppend& m);
   void handle_repl_ack(ServerId from, const ReplAck& m);
@@ -391,11 +392,6 @@ class ClashServer {
   /// holder's head now covers.
   void commit_acked(const KeyGroup& group, const repl::LogHead& head);
 
-  /// Push lease-replicas of every active group to its ring successors.
-  void send_replicas();
-  /// Push one group's replica to its ring successors now (log mode:
-  /// snapshot + compact instead of a ReplicateGroup lease).
-  void replicate_group(const ServerTableEntry& entry);
   /// Tell replica holders a group stopped being active here.
   void retire_replicas(const KeyGroup& group);
 
@@ -478,10 +474,6 @@ class ClashServer {
   void send_anti_entropy();
   /// Answer a peer that reported being behind on `group` at `have`.
   void repair_peer(ServerId to, const KeyGroup& group, repl::LogHead have);
-  /// Log-mode promotion: pull the freshest suffix from surviving
-  /// holders, then install under a bumped epoch.
-  bool promote_with_recovery(const KeyGroup& group);
-
   /// Write `entry`'s current state as its on-disk snapshot (no-op
   /// without a durable store). Baselines anchor WAL replay;
   /// checkpoints additionally advance the truncation floor.
@@ -505,7 +497,7 @@ class ClashServer {
     /// Last time any owner/peer touched this record (lease clock).
     SimTime refreshed{0};
 
-    // Log mode: applied position + retained suffix since the last
+    // Applied position + retained suffix since the last
     // snapshot (log.head() is the applied head; entries repair peers).
     repl::GroupLog log{0, 0};
     /// Freshest head any owner/peer ever advertised for the group.

@@ -24,10 +24,11 @@ namespace clash {
   X(reclaim_replies)                                                         \
   /* Migrated state, in STATE_TRANSFER message units. */                     \
   X(state_transfer_msgs)                                                     \
-  /* Fault-tolerance extension traffic. */                                   \
+  /* Fault-tolerance extension traffic. `replications` is always 0;          \
+     perfbench/src/cluster.cpp still reads it. */                            \
   X(replications)                                                            \
   X(replica_drops)                                                           \
-  /* Replication-log traffic (src/repl/, log mode only). */                  \
+  /* Replication-log traffic (src/repl/, replication_factor > 0). */         \
   X(repl_appends)                                                            \
   X(repl_acks)                                                               \
   X(snapshot_offers)                                                         \
@@ -49,7 +50,7 @@ namespace clash {
   X(groups_lost)      /* failovers without replica state */                  \
   X(dropped_msgs)     /* sends to dead servers */                            \
   X(handoffs)         /* groups handed back on rejoin */                     \
-  X(log_compactions)  /* snapshot+compact cycles (log mode) */               \
+  X(log_compactions)  /* snapshot+compact cycles */                          \
   X(link_drops)       /* messages eaten by the fault matrix */               \
   X(snapshot_aborts)  /* out-of-sync transfers nacked */                     \
   X(snapshot_offers_ignored) /* dup offers mid-transfer */                   \

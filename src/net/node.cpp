@@ -404,32 +404,45 @@ void ClashNode::recover_from_storage() {
   if (restored == 0) return;
   CLASH_INFO << to_string(config_.id) << ": restored " << restored
              << " group(s) from " << config_.storage_dir;
-  // Re-adopt every recovered group the (seed) ring maps here. In log
-  // mode this mirrors a failover heir: open the recovery session now
-  // (the anti-entropy probes go out as peer connections come up) and
-  // promote after the grace window, so a fresher holder can stream
-  // the suffix the disk lost — a torn WAL tail costs a few ops over
-  // the wire, never a full snapshot.
+  // Re-adopt every recovered group the (seed) ring maps here. A
+  // replicated node mirrors a failover heir: the recovery session
+  // opens now (the anti-entropy probes go out as peer connections come
+  // up) and promotion waits out the grace window, so a fresher holder
+  // can stream the suffix the disk lost — a torn WAL tail costs a few
+  // ops over the wire, never a full snapshot. A durable-only node has
+  // no holder to ask and re-adopts at once.
   for (const KeyGroup& group : server_->replicas_owned_by(config_.id)) {
-    if (ring_->map(ring_->hasher().hash_key(group.virtual_key())) !=
-        config_.id) {
+    if (!maps_here(group)) {
       continue;  // the ring moved on; anti-entropy reclaims or GCs it
     }
-    if (!server_->log_replication()) {
+    if (server_->log_replication()) {
+      promote_after_grace(group, ServerId{});
+    } else {
       (void)server_->promote_replica(group);
-      continue;
     }
-    server_->begin_group_recovery(group);
-    loop_->call_after(config_.recovery_grace, [this, group] {
-      on_loop_.assert_held();
-      if (ring_->map(ring_->hasher().hash_key(group.virtual_key())) ==
-          config_.id) {
-        (void)server_->promote_replica(group);
-      } else {
-        server_->abandon_group_recovery(group);
-      }
-    });
   }
+}
+
+bool ClashNode::maps_here(const KeyGroup& group) const {
+  return ring_->map(ring_->hasher().hash_key(group.virtual_key())) ==
+         config_.id;
+}
+
+void ClashNode::promote_after_grace(const KeyGroup& group, ServerId dead) {
+  server_->begin_group_recovery(group);
+  loop_->call_after(config_.recovery_grace, [this, dead, group] {
+    on_loop_.assert_held();
+    // Re-validate after the grace window: a dead owner's death may
+    // have been refuted (member back on the ring — it was handed its
+    // groups) or the ring may have shifted the group to another heir.
+    // Promoting anyway would create dual ownership with the fenced-out
+    // epoch winning over the legitimate line.
+    if ((dead.valid() && ring_->contains(dead)) || !maps_here(group)) {
+      server_->abandon_group_recovery(group);
+      return;
+    }
+    (void)server_->promote_replica(group);
+  });
 }
 
 void ClashNode::on_member_dead(ServerId id) {
@@ -446,34 +459,12 @@ void ClashNode::on_member_dead(ServerId id) {
   // Automatic failover: any group the dead owner replicated here that
   // the shrunken ring now maps to this node gets promoted. Peers do the
   // same for their own replicas, so the dead node's groups come back on
-  // exactly their new DHT owners. Under log replication the promotion
-  // waits out a recovery-grace window first: the heir probes the
-  // surviving holders with its (epoch, seq) head and lets the freshest
-  // one stream the missing suffix before anything is installed.
+  // exactly their new DHT owners. The promotion waits out a
+  // recovery-grace window first: the heir probes the surviving holders
+  // with its (epoch, seq) head and lets the freshest one stream the
+  // missing suffix before anything is installed.
   for (const KeyGroup& group : server_->replicas_owned_by(id)) {
-    const ServerId heir =
-        ring_->map(ring_->hasher().hash_key(group.virtual_key()));
-    if (heir != config_.id) continue;
-    if (server_->log_replication()) {
-      server_->begin_group_recovery(group);
-      loop_->call_after(config_.recovery_grace, [this, id, group] {
-        on_loop_.assert_held();
-        // Re-validate after the grace window: the death may have been
-        // refuted (member back on the ring — it was handed its groups)
-        // or the ring may have shifted the group to another heir.
-        // Promoting anyway would create dual ownership with the
-        // fenced-out epoch winning over the legitimate line.
-        if (ring_->contains(id) ||
-            ring_->map(ring_->hasher().hash_key(group.virtual_key())) !=
-                config_.id) {
-          server_->abandon_group_recovery(group);
-          return;
-        }
-        (void)server_->promote_replica(group);
-      });
-    } else {
-      (void)server_->promote_replica(group);
-    }
+    if (maps_here(group)) promote_after_grace(group, id);
   }
 }
 

@@ -272,9 +272,18 @@ class ClashNode {
   void on_member_dead(ServerId id) CLASH_REQUIRES(on_loop_);
   void on_member_joined(ServerId id) CLASH_REQUIRES(on_loop_);
   /// First start only: restore the durable image and re-promote every
-  /// recovered group the ring still maps here (log mode holds the
-  /// recovery-grace pull window first, exactly like a failover heir).
+  /// recovered group the ring still maps here (a replicated node holds
+  /// the recovery-grace pull window first, exactly like a failover
+  /// heir).
   void recover_from_storage() CLASH_REQUIRES(on_loop_);
+  /// Whether the ring now maps `group` to this node.
+  [[nodiscard]] bool maps_here(const KeyGroup& group) const
+      CLASH_REQUIRES(on_loop_);
+  /// Open `group`'s recovery session and promote it after
+  /// recovery_grace, unless by then the ring maps it elsewhere or the
+  /// `dead` owner (when valid) is back on the ring.
+  void promote_after_grace(const KeyGroup& group, ServerId dead)
+      CLASH_REQUIRES(on_loop_);
 
   NodeConfig config_;  // immutable after construction
   /// Declared before env_/server_: the Env's obs() override hands this

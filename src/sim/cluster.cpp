@@ -361,7 +361,7 @@ void SimCluster::restart_server(ServerId id) {
   }
   // Groups the index still maps here (no eviction happened) that the
   // disk recovered are re-adopted in place: promotion bumps the epoch
-  // and, in log mode, the recovery pull fetches only the suffix the
+  // and, when replicated, the recovery pull fetches only the suffix the
   // disk lost from the replica set — the network never carries the
   // full state. Everything else fails over as before.
   std::vector<KeyGroup> lost;
@@ -494,8 +494,6 @@ void SimCluster::count_message(const Message& msg) {
         } else if constexpr (std::is_same_v<T, ReclaimAck> ||
                              std::is_same_v<T, ReclaimRefused>) {
           stats_.reclaim_replies++;
-        } else if constexpr (std::is_same_v<T, ReplicateGroup>) {
-          stats_.replications++;
         } else if constexpr (std::is_same_v<T, DropReplica>) {
           stats_.replica_drops++;
         } else if constexpr (std::is_same_v<T, ReplAppend>) {
@@ -528,6 +526,24 @@ std::optional<std::string> SimCluster::check_invariants() const {
                                      now().usec);
   }
   return err;
+}
+
+std::optional<std::string> SimCluster::check_replica_heads() const {
+  for (const auto& [group, owner] : owners_) {
+    const auto owner_head = server(owner).log_head(group);
+    if (!owner_head) return "owner of " + group.label() + " has no log";
+    for (const auto& srv : servers_) {
+      if (!is_alive(srv->id()) || srv->id() == owner) continue;
+      if (!srv->has_replica(group)) continue;
+      const auto head = srv->replica_head(group);
+      if (head != owner_head) {
+        return group.label() + ": replica on " + to_string(srv->id()) +
+               " at " + head->to_string() + " != owner " +
+               owner_head->to_string();
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 std::optional<std::string> SimCluster::check_invariants_impl() const {

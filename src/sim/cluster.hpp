@@ -219,6 +219,11 @@ class SimCluster {
   /// dump taken at the abort site carries the verdict.
   [[nodiscard]] std::optional<std::string> check_invariants() const;
 
+  /// Every live replica of every active group sits at exactly its
+  /// owner's (epoch, seq) log head. Returns the first divergence, or
+  /// nullopt.
+  [[nodiscard]] std::optional<std::string> check_replica_heads() const;
+
  private:
   [[nodiscard]] std::optional<std::string> check_invariants_impl() const;
   class ServerEnvImpl;

@@ -29,7 +29,8 @@ enum class MsgType : std::uint8_t {
   kReclaimKeyGroup = 7,
   kReclaimAck = 8,
   kReclaimRefused = 9,
-  kReplicateGroup = 10,
+  // 10 carried the retired lease-replica refresh. Never reuse it: an
+  // old peer's frame must decode as an unknown type, not a new message.
   kDropReplica = 11,
   kGossip = 12,
   // Replication & recovery subsystem (src/repl/).

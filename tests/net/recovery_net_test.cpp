@@ -30,7 +30,6 @@ struct RecoveryNetCluster {
     clash.initial_depth = kInitialDepth;
     clash.capacity = 10000;  // no load-driven splits
     clash.replication_factor = 2;
-    clash.replication_mode = ClashConfig::ReplicationMode::kLog;
 
     std::map<ServerId, Endpoint> members;
     for (std::size_t i = 0; i < kNodes; ++i) {

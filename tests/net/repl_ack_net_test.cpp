@@ -46,7 +46,6 @@ struct AckCluster {
     clash.initial_depth = 4;
     clash.capacity = 1e9;
     clash.replication_factor = 2;
-    clash.replication_mode = ClashConfig::ReplicationMode::kLog;
 
     std::vector<NodeConfig> configs;
     std::map<ServerId, Endpoint> members;

@@ -77,7 +77,6 @@ SimCluster::Config replicated_config() {
   cfg.clash.initial_depth = 3;
   cfg.clash.capacity = 1e9;
   cfg.clash.replication_factor = 2;
-  cfg.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.clash.snapshot_chunk_objects = 4;  // multi-chunk snapshots
   return cfg;
 }
@@ -148,7 +147,7 @@ TEST(DupReorderReplication, SnapshotAssemblySurvivesDupAndReorder) {
   sim.drain();
 
   // Now make every link duplicate AND reorder, and force full
-  // snapshot refreshes through it (log mode replicates activations
+  // snapshot refreshes through it (the log replicates activations
   // and compactions as chunked snapshots).
   LinkMatrix::Fault f;
   f.dup_prob = 0.4;

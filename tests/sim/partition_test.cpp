@@ -29,7 +29,6 @@ ChurnSim::Config partition_config() {
   cfg.cluster.clash.initial_depth = 3;
   cfg.cluster.clash.capacity = 4000.0;  // no load-driven splits
   cfg.cluster.clash.replication_factor = 2;
-  cfg.cluster.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.protocol_period = SimTime::from_seconds(1);
   cfg.gossip_delay = SimTime::from_seconds(0.02);
   cfg.seed = 17;
@@ -68,27 +67,6 @@ std::size_t live_protocol_queries(const SimCluster& cluster) {
   return n;
 }
 
-/// Every replica of every active group sits at exactly the owner's
-/// (epoch, seq) head; returns the first divergence found.
-std::optional<std::string> heads_converged(const SimCluster& cluster) {
-  for (const auto& [group, owner] : cluster.owner_index()) {
-    const auto owner_head = cluster.server(owner).log_head(group);
-    if (!owner_head) return "owner of " + group.label() + " has no log";
-    for (std::size_t i = 0; i < kServers; ++i) {
-      const ServerId id{i};
-      if (!cluster.is_alive(id) || id == owner) continue;
-      if (!cluster.server(id).has_replica(group)) continue;
-      const auto head = cluster.server(id).replica_head(group);
-      if (head != owner_head) {
-        return group.label() + ": replica on s" + std::to_string(i) +
-               " at " + head->to_string() + " != owner " +
-               owner_head->to_string();
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 TEST(Partition, SplitBrainNeverEvictsAndConvergesAfterHeal) {
   ChurnSim sim(partition_config());
   sim.start();
@@ -114,7 +92,7 @@ TEST(Partition, SplitBrainNeverEvictsAndConvergesAfterHeal) {
   // Suspicions refute and anti-entropy repairs the diverged holders
   // over the next load-check rounds.
   sim.run_for(SimTime::from_minutes(11));
-  EXPECT_EQ(heads_converged(sim.cluster()), std::nullopt);
+  EXPECT_EQ(sim.cluster().check_replica_heads(), std::nullopt);
   EXPECT_EQ(live_protocol_queries(sim.cluster()), total);
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
 }
@@ -136,7 +114,7 @@ TEST(Partition, AsymmetricOneWayCutConvergesAfterHeal) {
 
   sim.heal_partitions();
   sim.run_for(SimTime::from_minutes(11));
-  EXPECT_EQ(heads_converged(sim.cluster()), std::nullopt);
+  EXPECT_EQ(sim.cluster().check_replica_heads(), std::nullopt);
   EXPECT_EQ(live_protocol_queries(sim.cluster()), total);
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
 }
@@ -156,7 +134,7 @@ TEST(Partition, FlapScheduleConvergesAfterFinalHeal) {
 
   EXPECT_EQ(sim.cluster().alive_count(), kServers);
   EXPECT_EQ(sim.cluster().total_stats().groups_lost, 0u);
-  EXPECT_EQ(heads_converged(sim.cluster()), std::nullopt);
+  EXPECT_EQ(sim.cluster().check_replica_heads(), std::nullopt);
   EXPECT_EQ(live_protocol_queries(sim.cluster()), total);
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
 }
@@ -175,7 +153,7 @@ TEST(Partition, LossyLinksConvergeOnceClean) {
 
   sim.heal_partitions();  // clears the default fault too
   sim.run_for(SimTime::from_minutes(11));
-  EXPECT_EQ(heads_converged(sim.cluster()), std::nullopt);
+  EXPECT_EQ(sim.cluster().check_replica_heads(), std::nullopt);
   EXPECT_EQ(live_protocol_queries(sim.cluster()), total);
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
 }
@@ -214,7 +192,7 @@ TEST(Partition, DeathDuringSplitStillFailsOverWithZeroLoss) {
 
   sim.heal_partitions();
   sim.run_for(SimTime::from_minutes(11));
-  EXPECT_EQ(heads_converged(sim.cluster()), std::nullopt);
+  EXPECT_EQ(sim.cluster().check_replica_heads(), std::nullopt);
   EXPECT_EQ(live_protocol_queries(sim.cluster()), total);
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
 }

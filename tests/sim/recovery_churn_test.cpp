@@ -30,7 +30,6 @@ ChurnSim::Config log_churn_config() {
   cfg.cluster.clash.initial_depth = 3;
   cfg.cluster.clash.capacity = 4000.0;  // no load-driven splits
   cfg.cluster.clash.replication_factor = 2;
-  cfg.cluster.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   cfg.protocol_period = SimTime::from_seconds(1);
   cfg.gossip_delay = SimTime::from_seconds(0.02);
   cfg.seed = 99;
@@ -117,29 +116,6 @@ int run_until_converged(ChurnSim& sim, const std::vector<ServerId>& victims) {
   return -1;
 }
 
-/// Every replica of every active group sits at exactly the owner's
-/// (epoch, seq) head. Returns the first divergence found.
-std::optional<std::string> check_heads_converged(const SimCluster& cluster) {
-  for (const auto& [group, owner] : cluster.owner_index()) {
-    const auto owner_head = cluster.server(owner).log_head(group);
-    if (!owner_head) {
-      return "owner of " + group.label() + " has no log";
-    }
-    for (std::size_t i = 0; i < kServers; ++i) {
-      const ServerId id{i};
-      if (!cluster.is_alive(id) || id == owner) continue;
-      if (!cluster.server(id).has_replica(group)) continue;
-      const auto head = cluster.server(id).replica_head(group);
-      if (head != owner_head) {
-        return group.label() + ": replica on s" + std::to_string(i) +
-               " at " + head->to_string() + " != owner " +
-               owner_head->to_string();
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
   ChurnSim sim(log_churn_config());
   AppLayer app(sim);
@@ -208,7 +184,7 @@ TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
   // Let anti-entropy finish and the stale-replica lease GC sweep the
   // ex-holders (3 check periods), then demand fully converged heads.
   sim.run_for(SimTime::from_minutes(21));
-  EXPECT_EQ(check_heads_converged(sim.cluster()), std::nullopt);
+  EXPECT_EQ(sim.cluster().check_replica_heads(), std::nullopt);
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
   EXPECT_EQ(app.live_query_count(), keys.size());
 }
@@ -230,7 +206,7 @@ TEST(RecoveryChurn, LogModeReplicationTrafficIsIncremental) {
   EXPECT_EQ(stats.replications, 0u);  // no legacy full-state leases
   // Quiet cluster: converged holders do not need snapshots.
   EXPECT_EQ(stats.snapshot_chunks, 0u);
-  EXPECT_EQ(check_heads_converged(sim.cluster()), std::nullopt);
+  EXPECT_EQ(sim.cluster().check_replica_heads(), std::nullopt);
 }
 
 }  // namespace

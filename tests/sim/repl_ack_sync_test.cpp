@@ -20,7 +20,6 @@ TEST(ReplAckSync, OneInlineAckPerAppendPerHolder) {
   cfg.clash.initial_depth = 3;
   cfg.clash.capacity = 1e9;
   cfg.clash.replication_factor = 2;
-  cfg.clash.replication_mode = ClashConfig::ReplicationMode::kLog;
   SimCluster cluster(cfg);
   cluster.bootstrap();
 
