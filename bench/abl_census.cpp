@@ -17,7 +17,7 @@
 //      workload, the census payload inside delivered gossip frames
 //      must stay under --budget-pct (default 10%) of total wire bytes,
 //   4. trace stitching: one query inserted with a trace id must leave
-//      TraceRecorder spans on >= 2 distinct nodes (owner ingest +
+//      journal spans on >= 2 distinct nodes (owner ingest +
 //      replica apply) sharing that id.
 //
 // Usage: abl_census [--sizes=16,64,256] [--seed=42]
@@ -218,6 +218,13 @@ int main(int argc, char** argv) {
   const auto ingest_per_node = std::size_t(args.get_int("ingest-per-node", 40));
   const auto overhead_periods = int(args.get_int("overhead-periods", 45));
   const double budget_pct = double(args.get_int("budget-pct", 10));
+  const std::string repro =
+      args.repro({{"sizes", args.get("sizes", "16,64,256")},
+                  {"seed", std::to_string(seed)},
+                  {"ingest-per-node", std::to_string(ingest_per_node)},
+                  {"overhead-periods", std::to_string(overhead_periods)},
+                  {"budget-pct",
+                   std::to_string(args.get_int("budget-pct", 10))}});
 
   std::vector<std::size_t> sizes;
   {
@@ -263,7 +270,8 @@ int main(int argc, char** argv) {
     r.converge_rounds = run_until_converged(sim, servers, bound);
     if (r.converge_rounds < 0) {
       std::fprintf(stderr, "FAIL %zu nodes: census not converged in %d "
-                           "periods\n", servers, bound);
+                           "periods; repro: %s\n",
+                   servers, bound, repro.c_str());
       ok = false;
     }
 
@@ -277,7 +285,8 @@ int main(int argc, char** argv) {
     r.churn_rounds = (rounds < 0 || back < 0) ? -1 : rounds + back;
     if (r.churn_rounds < 0) {
       std::fprintf(stderr, "FAIL %zu nodes: census lost convergence "
-                           "across kill/revive\n", servers);
+                           "across kill/revive; repro: %s\n",
+                   servers, repro.c_str());
       ok = false;
     }
     // Settle: every node re-folds and the last gauge change propagates.
@@ -286,8 +295,8 @@ int main(int argc, char** argv) {
     r.view_err = check_views(sim, servers);
     r.view_ok = r.view_err.empty();
     if (!r.view_ok) {
-      std::fprintf(stderr, "FAIL %zu nodes: view mismatch: %s\n", servers,
-                   r.view_err.c_str());
+      std::fprintf(stderr, "FAIL %zu nodes: view mismatch: %s; repro: %s\n",
+                   servers, r.view_err.c_str(), repro.c_str());
       ok = false;
     }
 
@@ -322,15 +331,15 @@ int main(int argc, char** argv) {
                 budget_pct, (unsigned long long)census_records);
     if (census_records == 0 || overhead_ratio > budget_pct / 100.0) {
       std::fprintf(stderr, "FAIL: census overhead %.2f%% over the %.0f%% "
-                           "budget (or no records flowed)\n",
-                   100 * overhead_ratio, budget_pct);
+                           "budget (or no records flowed); repro: %s\n",
+                   100 * overhead_ratio, budget_pct, repro.c_str());
       ok = false;
     }
 
     // --- Trace-stitching gate (canonical size) -----------------------
-    auto& tracer = obs::Hub::global().tracer;
-    tracer.clear();
-    tracer.set_enabled(true);
+    auto& journal = obs::Hub::global().journal;
+    journal.clear();
+    journal.set_tracing(true);
     {
       ClashClient client(sim.cluster().clash_config(),
                          sim.cluster().client_env(ServerId{0}),
@@ -341,19 +350,20 @@ int main(int argc, char** argv) {
       obj.query_id = QueryId{0xC0FFEE};
       obj.trace_id = 0xC1D2E3F4A5B60708ULL;
       if (!client.insert(obj).ok) {
-        std::fprintf(stderr, "FAIL: traced query not accepted\n");
+        std::fprintf(stderr, "FAIL: traced query not accepted; repro: %s\n",
+                     repro.c_str());
         ok = false;
       }
     }
     sim.run_for(SimTime::from_seconds(2));  // repl append flush + apply
-    tracer.set_enabled(false);
+    journal.set_tracing(false);
     std::set<std::uint64_t> pids;
     bool saw_ingest = false, saw_apply = false;
-    for (const auto& span : tracer.spans()) {
+    for (const auto& span : journal.spans()) {
       if (span.trace_id != 0xC1D2E3F4A5B60708ULL) continue;
-      pids.insert(span.pid);
-      saw_ingest |= span.kind == obs::SpanKind::kIngest;
-      saw_apply |= span.kind == obs::SpanKind::kReplApply;
+      pids.insert(span.node);
+      saw_ingest |= span.kind == obs::Kind::kIngest;
+      saw_apply |= span.kind == obs::Kind::kReplApply;
     }
     trace_nodes = pids.size();
     trace_ok = trace_nodes >= 2 && saw_ingest && saw_apply;
@@ -362,7 +372,8 @@ int main(int argc, char** argv) {
                 trace_nodes, int(saw_ingest), int(saw_apply));
     if (!trace_ok) {
       std::fprintf(stderr, "FAIL: traced query did not stitch across >= 2 "
-                           "nodes\n");
+                           "nodes; repro: %s\n",
+                   repro.c_str());
       ok = false;
     }
   }

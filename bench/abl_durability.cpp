@@ -287,6 +287,12 @@ int main(int argc, char** argv) {
   const auto n_queries = std::size_t(args.get_int("queries", 600));
   const auto seed = std::uint64_t(args.get_int("seed", 42));
   const bool kill9 = !args.get_bool("no-kill9", false);
+  const std::string repro =
+      args.repro({{"servers", std::to_string(n_servers)},
+                  {"sources", std::to_string(n_sources)},
+                  {"queries", std::to_string(n_queries)},
+                  {"seed", std::to_string(seed)},
+                  {"no-kill9", kill9 ? "false" : "true"}});
 
   std::printf("# Durability ablation: crash + restart the busiest of %zu "
               "servers under %zu streams + %zu queries (repl factor 2, "
@@ -394,31 +400,35 @@ int main(int argc, char** argv) {
   bool ok = true;
   if (walsnap.groups_lost != 0 || walsnap.streams_kept_pct < 100.0 ||
       walsnap.queries_kept_pct < 100.0) {
-    std::fprintf(stderr, "FAIL: kWalSnapshot restart lost state\n");
+    std::fprintf(stderr, "FAIL: kWalSnapshot restart lost state; repro: %s\n",
+                 repro.c_str());
     ok = false;
   }
   if (walsnap.recovery_wire_bytes >= none.recovery_wire_bytes) {
     std::fprintf(stderr,
                  "FAIL: local-disk recovery moved %llu bytes, not fewer "
-                 "than the network pull's %llu\n",
+                 "than the network pull's %llu; repro: %s\n",
                  (unsigned long long)walsnap.recovery_wire_bytes,
-                 (unsigned long long)none.recovery_wire_bytes);
+                 (unsigned long long)none.recovery_wire_bytes, repro.c_str());
     ok = false;
   }
   if (results["wal"].records_replayed <= walsnap.records_replayed) {
     std::fprintf(stderr,
                  "FAIL: checkpointing did not bound replay (wal %llu <= "
-                 "walsnap %llu)\n",
+                 "walsnap %llu); repro: %s\n",
                  (unsigned long long)results["wal"].records_replayed,
-                 (unsigned long long)walsnap.records_replayed);
+                 (unsigned long long)walsnap.records_replayed, repro.c_str());
     ok = false;
   }
   if (torn.queries_kept_pct < 100.0 || torn.groups_lost != 0) {
-    std::fprintf(stderr, "FAIL: torn tail lost state despite replicas\n");
+    std::fprintf(stderr,
+                 "FAIL: torn tail lost state despite replicas; repro: %s\n",
+                 repro.c_str());
     ok = false;
   }
   if (kill9 && !k9.ok) {
-    std::fprintf(stderr, "FAIL: kill -9 recovery came back empty\n");
+    std::fprintf(stderr, "FAIL: kill -9 recovery came back empty; repro: %s\n",
+                 repro.c_str());
     ok = false;
   }
 

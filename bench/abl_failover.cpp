@@ -117,10 +117,10 @@ RunResult run_one(unsigned factor, std::size_t n_servers,
   // per-run summaries below (and the --metrics-json section, which
   // reflects the final run) would otherwise mix configurations.
   obs::Hub::global().registry.reset();
-  auto& tracer = obs::Hub::global().tracer;
+  auto& journal = obs::Hub::global().journal;
   if (trace_path != nullptr) {
-    tracer.clear();
-    tracer.set_enabled(true);
+    journal.clear();
+    journal.set_tracing(true);
   }
 
   SimCluster::Config cfg;
@@ -246,8 +246,8 @@ RunResult run_one(unsigned factor, std::size_t n_servers,
   r.cost.top = std::move(ranked);
 
   if (trace_path != nullptr) {
-    tracer.set_enabled(false);
-    const std::string json = tracer.to_chrome_json();
+    journal.set_tracing(false);
+    const std::string json = journal.chrome_json();
     if (FILE* f = std::fopen(trace_path, "w"); f != nullptr) {
       std::fwrite(json.data(), 1, json.size(), f);
       std::fclose(f);
@@ -255,16 +255,16 @@ RunResult run_one(unsigned factor, std::size_t n_servers,
       // spans landed on >= 2 distinct pids (ingest on the owner, apply
       // on a replica, snapshot legs on the heir, ...).
       std::map<std::uint64_t, std::set<std::uint64_t>> flows;
-      for (const auto& span : tracer.spans()) {
-        if (span.trace_id != 0) flows[span.trace_id].insert(span.pid);
+      const auto spans = journal.spans();
+      for (const auto& span : spans) {
+        if (span.trace_id != 0) flows[span.trace_id].insert(span.node);
       }
       std::size_t cross = 0;
       for (const auto& [id, pids] : flows) cross += pids.size() >= 2;
-      std::printf("# trace: %llu spans (%llu overwritten), %zu/%zu flows "
-                  "span >= 2 nodes -> %s\n",
-                  (unsigned long long)tracer.spans().size(),
-                  (unsigned long long)tracer.dropped(), cross, flows.size(),
-                  trace_path);
+      std::printf("# trace: %zu spans (%llu records overwritten), %zu/%zu "
+                  "flows span >= 2 nodes -> %s\n",
+                  spans.size(), (unsigned long long)journal.dropped(), cross,
+                  flows.size(), trace_path);
     } else {
       std::fprintf(stderr, "cannot write trace to %s\n", trace_path);
     }
@@ -292,11 +292,10 @@ int main(int argc, char** argv) {
   const auto seed = std::uint64_t(args.get_int("seed", 42));
   const std::string trace_path = args.get("trace", "");
   // Every run is seeded by these four flags alone.
-  const std::string repro =
-      std::string(argv[0]) + " --servers=" + std::to_string(n_servers) +
-      " --sources=" + std::to_string(n_sources) +
-      " --queries=" + std::to_string(n_queries) +
-      " --seed=" + std::to_string(seed);
+  const std::string repro = args.repro({{"servers", std::to_string(n_servers)},
+                                        {"sources", std::to_string(n_sources)},
+                                        {"queries", std::to_string(n_queries)},
+                                        {"seed", std::to_string(seed)}});
 
   std::printf("# Failover ablation: %zu servers, %zu streams, %zu queries, "
               "crash 25%% of the cluster (staged: %.1fs detection window, "

@@ -181,6 +181,11 @@ int main(int argc, char** argv) {
   const auto queries = std::size_t(args.get_int("queries", 60));
   const auto seed = std::uint64_t(args.get_int("seed", 42));
   const double fault_minutes = double(args.get_int("fault-minutes", 3));
+  const std::string repro = args.repro(
+      {{"servers", std::to_string(servers)},
+       {"queries", std::to_string(queries)},
+       {"seed", std::to_string(seed)},
+       {"fault-minutes", std::to_string(args.get_int("fault-minutes", 3))}});
 
   std::printf("# Partition ablation: %zu servers, replication factor 2 "
               "(log mode), %.0f-minute faults\n",
@@ -231,9 +236,9 @@ int main(int argc, char** argv) {
         r.groups_lost != 0) {
       std::fprintf(stderr,
                    "FAIL: scenario %s did not converge cleanly "
-                   "(%zu/%zu queries, %llu groups lost)\n",
+                   "(%zu/%zu queries, %llu groups lost); repro: %s\n",
                    r.scenario, r.queries_kept, r.queries_registered,
-                   (unsigned long long)r.groups_lost);
+                   (unsigned long long)r.groups_lost, repro.c_str());
       ok = false;
     }
   }

@@ -158,11 +158,21 @@ int main(int argc, char** argv) {
   const unsigned flap_cycles = unsigned(args.get_int("flap-cycles", 3));
   const bool skew = args.get_int("skew", 1) != 0;
   const double census_budget = double(args.get_int("census-budget", 1024));
+  const auto flag = [&args](const char* name, std::int64_t fallback) {
+    return std::pair<const char*, std::string>(
+        name, std::to_string(args.get_int(name, fallback)));
+  };
+  const std::string repro = args.repro(
+      {flag("servers", 18), flag("rounds", 4), flag("queries", 40),
+       flag("seed", 42), flag("storm-minutes", 12),
+       flag("settle-minutes", 30), flag("slow-evict-limit", 180),
+       flag("corrupt-pct", 3), flag("flap-cycles", 3), flag("skew", 1),
+       flag("census-budget", 1024)});
 
   ChurnSim sim(base_config(servers, seed));
   sim.start();
   // Any gate failure (or invariant abort) below dumps the global
-  // flight ring + in-flight table next to the JSON artifact.
+  // journal (flight + in-flight views) next to the JSON artifact.
   obs::Postmortem& pm = obs::Postmortem::global();
   pm.set_dir(".");
   obs::register_hub_source(pm, obs::Hub::global(), "abl_soak",
@@ -322,21 +332,24 @@ int main(int argc, char** argv) {
     // --- Gates ---------------------------------------------------------
     if (!r.converged || r.queries_kept != r.queries_registered) {
       std::fprintf(stderr,
-                   "FAIL round %u: not converged (%zu/%zu queries)\n",
-                   round, r.queries_kept, r.queries_registered);
+                   "FAIL round %u: not converged (%zu/%zu queries); "
+                   "repro: %s\n",
+                   round, r.queries_kept, r.queries_registered,
+                   repro.c_str());
       ok = false;
     }
     if (r.slow_evict_seconds < 0) {
       std::fprintf(stderr,
                    "FAIL round %u: fail-slow s%zu not evicted within "
-                   "%.0fs\n",
-                   round, slow.value, slow_evict_limit);
+                   "%.0fs; repro: %s\n",
+                   round, slow.value, slow_evict_limit, repro.c_str());
       ok = false;
     }
     if (!r.census_ok) {
       std::fprintf(stderr,
-                   "FAIL round %u: census not converged after settle\n",
-                   round);
+                   "FAIL round %u: census not converged after settle; "
+                   "repro: %s\n",
+                   round, repro.c_str());
       ok = false;
     }
     // Replica records may grow with the query load but must stay a
@@ -345,8 +358,9 @@ int main(int argc, char** argv) {
     if (r.replica_records > 4 * replica_baseline + 8 * acked) {
       std::fprintf(stderr,
                    "FAIL round %u: replica records grew unbounded "
-                   "(%zu, baseline %zu)\n",
-                   round, r.replica_records, replica_baseline);
+                   "(%zu, baseline %zu); repro: %s\n",
+                   round, r.replica_records, replica_baseline,
+                   repro.c_str());
       ok = false;
     }
 
@@ -362,8 +376,8 @@ int main(int argc, char** argv) {
   if (rejected == 0) {
     std::fprintf(stderr,
                  "FAIL: no corrupted payload ever reached a content "
-                 "fence (rejected=0, codec drops=%llu)\n",
-                 (unsigned long long)codec_drops);
+                 "fence (rejected=0, codec drops=%llu); repro: %s\n",
+                 (unsigned long long)codec_drops, repro.c_str());
     ok = false;
   }
 
@@ -377,9 +391,9 @@ int main(int argc, char** argv) {
       census_rate > census_budget) {
     std::fprintf(stderr,
                  "FAIL: census gossip averaged %.0f bytes/node/period "
-                 "(budget %.0f, records=%llu)\n",
+                 "(budget %.0f, records=%llu); repro: %s\n",
                  census_rate, census_budget,
-                 (unsigned long long)wire.census_records);
+                 (unsigned long long)wire.census_records, repro.c_str());
     ok = false;
   }
 

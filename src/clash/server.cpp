@@ -81,8 +81,7 @@ void ClashServer::meter_matches(const Key& key, std::size_t n,
   GroupCost& cost = group_costs_[entry->group];
   cost.matches += n;
   cost.bytes_served += bytes;
-  hub_.tracer.record(obs::SpanKind::kQueryMatch, self_.value, env_.now(),
-                      SimDuration{0}, n, active_trace_);
+  note(obs::Kind::kQueryMatch, entry->group, n);
 }
 
 void ClashServer::meter_repl_bytes(const KeyGroup& group,
@@ -153,9 +152,7 @@ AcceptObjectReply ClashServer::handle_accept_object(const AcceptObject& m) {
   // Cases (a) (right depth) and (b) (wrong depth, right server) differ
   // only in the echoed depth; the client compares.
   if (!m.probe_only) {
-    hub_.tracer.record(obs::SpanKind::kIngest, self_.value, env_.now(),
-                        SimDuration{0}, std::uint64_t(m.kind),
-                        active_trace_);
+    note(obs::Kind::kIngest, entry->group, std::uint64_t(m.kind));
     GroupState& gs = state_[entry->group];
     GroupCost& cost = group_costs_[entry->group];
     ++cost.puts;
@@ -280,8 +277,7 @@ void ClashServer::handle_accept_keygroup(ServerId from,
   }
   // A transfer supersedes any in-flight recovery of the same group
   // (e.g. a handoff landing inside a promotion grace window).
-  recovery_.cancel(m.group);
-  end_recovery_op(m.group);
+  abandon_group_recovery(m.group);
 
   // Replicate the freshly adopted group now rather than at the next
   // load check: a group must never live a whole check period with no
@@ -756,7 +752,7 @@ void ClashServer::gc_stale_replicas() {
       if (entry == nullptr || !entry->active) {
         group_costs_.erase(it->first);
       }
-      it = replicas_.erase(it);
+      it = erase_replica(it);
     } else {
       ++it;
     }
@@ -765,7 +761,9 @@ void ClashServer::gc_stale_replicas() {
 
 void ClashServer::handle_drop_replica(ServerId /*from*/,
                                       const DropReplica& m) {
-  replicas_.erase(m.group);
+  if (const auto it = replicas_.find(m.group); it != replicas_.end()) {
+    erase_replica(it);
+  }
   const ServerTableEntry* entry = table_.find(m.group);
   if (entry == nullptr || !entry->active) group_costs_.erase(m.group);
 }
@@ -859,10 +857,8 @@ void ClashServer::init_group_log(const KeyGroup& group,
   const auto it = retired_epochs_.find(group);
   if (it != retired_epochs_.end()) epoch = std::max(epoch, it->second + 1);
   logs_.insert_or_assign(group, repl::GroupLog(epoch, 0));
-  flight(obs::FlightKind::kEpochBump, group_tag(group), epoch);
-  // Heads registered under the old line can never be acked now.
-  pending_commits_.erase(group);
-  end_append_op(group);
+  note(obs::Kind::kEpochBump, group, epoch);
+  drop_pending_commits(group);
   // A new line's baseline must hit the disk before any of its WAL
   // records: recovery anchors the replay on it (the state adopted
   // with the group — a split's share, a handoff, a promoted replica —
@@ -873,10 +869,16 @@ void ClashServer::init_group_log(const KeyGroup& group,
   }
 }
 
+void ClashServer::drop_pending_commits(const KeyGroup& group) {
+  const auto it = pending_commits_.find(group);
+  if (it == pending_commits_.end()) return;
+  hub_.journal.abort(it->second.op, env_.now().usec);
+  pending_commits_.erase(it);
+}
+
 void ClashServer::drop_group_log(const KeyGroup& group) {
   flush_pending_append(group);
-  pending_commits_.erase(group);
-  end_append_op(group);
+  drop_pending_commits(group);
   const auto it = logs_.find(group);
   if (it == logs_.end()) return;
   retired_epochs_[group] = it->second.epoch();
@@ -966,27 +968,20 @@ void ClashServer::send_append_batch(const KeyGroup& group,
   if (fanned_out) {
     // Register the in-flight head *before* sending: a synchronous env
     // delivers the holders' acks re-entrantly inside env_.send.
-    auto& inflight = pending_commits_[group];
-    if (inflight.empty()) {
-      // Deque going empty -> non-empty opens the group's replication
-      // op in the in-flight table; the last draining ack closes it.
-      auto& tok = append_ops_[group];
-      if (tok != 0) hub_.inflight.end(tok);
-      std::uint64_t first_peer = 0;
-      for (const ServerId target : targets) {
-        if (target != self_) {
-          first_peer = target.value;
-          break;
-        }
-      }
-      tok = hub_.inflight.begin(obs::OpKind::kReplAppend,
-                                 std::uint32_t(self_.value), group.label(),
-                                 first_peer, env_.now().usec);
+    auto& pending = pending_commits_[group];
+    if (pending.batches.empty()) {
+      // Queue going empty -> non-empty opens the group's replication
+      // op; the last draining ack ends it.
+      const ServerId first_peer =
+          *std::find_if(targets.begin(), targets.end(),
+                        [this](ServerId t) { return t != self_; });
+      pending.op =
+          begin_op(obs::Kind::kReplAppend, group, first_peer, 0, msg.trace_id);
     }
-    inflight.push_back(PendingCommit{
+    pending.batches.push_back(PendingCommit{
         msg.epoch, msg.base_seq + msg.entries.size(), env_.now(),
         msg.trace_id});
-    if (inflight.size() > 4096) inflight.pop_front();
+    if (pending.batches.size() > 4096) pending.batches.pop_front();
   }
   for (const ServerId target : targets) {
     if (target != self_) env_.send(target, msg);
@@ -1072,9 +1067,8 @@ void ClashServer::send_state_snapshot(
   offer.total_chunks = total;
   offer.trace_id = trace_id;
   meter_repl_bytes(group, kMsgOverheadBytes);
-  hub_.tracer.record(obs::SpanKind::kSnapshotTransfer, self_.value,
-                      env_.now(), SimDuration{0}, total, trace_id);
-  flight(obs::FlightKind::kSnapshotOfferSent, group_tag(group), total);
+  OutboundSnapshot out;
+  out.op = begin_op(obs::Kind::kSnapshotOut, group, to, total, trace_id);
   env_.send(to, offer);
 
   // Pre-cut the chunks into an outbound cursor instead of blasting
@@ -1082,7 +1076,6 @@ void ClashServer::send_state_snapshot(
   // destination's budget allows (unbounded in the sync sim; queue-depth
   // driven over TCP) and resumes when the transport drains. A restart
   // for the same (to, group) replaces any unfinished transfer.
-  OutboundSnapshot out;
   out.chunks.reserve(total);
   auto stream_it = st.streams.begin();
   auto query_it = st.queries.begin();
@@ -1112,14 +1105,11 @@ void ClashServer::send_state_snapshot(
     out.chunks.push_back(std::move(chunk));
   }
   // A restart for the same (to, group) replaces the cursor below:
-  // retire the superseded transfer's in-flight entry first.
+  // abort the superseded transfer's op first.
   if (const auto oit = outbound_snapshots_.find({to, group});
       oit != outbound_snapshots_.end()) {
-    end_outbound_op(oit->second);
+    hub_.journal.abort(oit->second.op, env_.now().usec, to.value);
   }
-  out.inflight_token = hub_.inflight.begin(
-      obs::OpKind::kSnapshotOut, std::uint32_t(self_.value), group.label(),
-      to.value, env_.now().usec, total);
   outbound_snapshots_[{to, group}] = std::move(out);
   pump_snapshots();
 }
@@ -1145,7 +1135,7 @@ std::size_t ClashServer::pump_snapshots() {
         if (it == outbound_snapshots_.end()) break;  // cancelled mid-pump
         OutboundSnapshot& out = it->second;
         if (out.next >= out.chunks.size()) {
-          end_outbound_op(out);
+          hub_.journal.end(out.op, env_.now().usec, out.chunks.size());
           outbound_snapshots_.erase(it);
           break;
         }
@@ -1156,11 +1146,11 @@ std::size_t ClashServer::pump_snapshots() {
                          approx_chunk_bytes(out.chunks[out.next]));
         Message msg(std::move(out.chunks[out.next]));
         ++out.next;
-        // Copy the token out: the send may re-enter and replace or
-        // erase this very map entry (stale tokens are ignored).
-        const std::uint64_t tok = out.inflight_token;
+        // Copy the handle out: the send may re-enter and replace or
+        // erase this very map entry (stale handles are ignored).
+        const obs::Op op = out.op;
         env_.send(key.first, msg);
-        if (tok != 0) hub_.inflight.progress(tok, env_.now().usec);
+        hub_.journal.progress(op, env_.now().usec);
       }
     }
     if (outbound_snapshots_.empty()) break;
@@ -1173,8 +1163,7 @@ void ClashServer::cancel_outbound_snapshot(ServerId to,
                                            const KeyGroup& group) {
   const auto it = outbound_snapshots_.find({to, group});
   if (it == outbound_snapshots_.end()) return;
-  flight(obs::FlightKind::kSnapshotAborted, group_tag(group), to.value);
-  end_outbound_op(it->second);
+  hub_.journal.abort(it->second.op, env_.now().usec, to.value);
   outbound_snapshots_.erase(it);
 }
 
@@ -1182,9 +1171,8 @@ void ClashServer::cancel_outbound_snapshots(const KeyGroup& group) {
   for (auto it = outbound_snapshots_.begin();
        it != outbound_snapshots_.end();) {
     if (it->first.second == group) {
-      flight(obs::FlightKind::kSnapshotAborted, group_tag(group),
-             it->first.first.value);
-      end_outbound_op(it->second);
+      hub_.journal.abort(it->second.op, env_.now().usec,
+                         it->first.first.value);
       it = outbound_snapshots_.erase(it);
     } else {
       ++it;
@@ -1224,7 +1212,7 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
       m.base_seq + m.entries.size() < m.base_seq) {
     stats_.corrupt_rejected++;
     corrupt_rejected_total_.inc();
-    flight(obs::FlightKind::kCorruptReject, group_tag(m.group));
+    note(obs::Kind::kCorruptReject, m.group);
     return;
   }
   // Never apply replica traffic to a group this server actively owns
@@ -1273,8 +1261,7 @@ void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
   const std::size_t applied =
       m.entries.size() > skip ? m.entries.size() - skip : 0;
   if (applied > 0) {
-    hub_.tracer.record(obs::SpanKind::kReplApply, self_.value, env_.now(),
-                        SimDuration{0}, applied, active_trace_);
+    note(obs::Kind::kReplApply, m.group, applied);
     if (recovery_.active(m.group)) {
       recovery_.note_entries_repaired(m.group, applied);
       progress_recovery_op(m.group, applied);
@@ -1335,23 +1322,23 @@ void ClashServer::commit_acked(const KeyGroup& group,
   // head find the deque already drained).
   const auto it = pending_commits_.find(group);
   if (it == pending_commits_.end()) return;
-  auto& inflight = it->second;
+  auto& batches = it->second.batches;
   const SimTime now = env_.now();
-  while (!inflight.empty() && inflight.front().epoch == head.epoch &&
-         inflight.front().seq <= head.seq) {
-    const SimDuration latency = now - inflight.front().sent;
-    commit_latency_us_.record_signed(latency.usec);
-    hub_.tracer.record(obs::SpanKind::kCommit, self_.value,
-                       inflight.front().sent, latency, inflight.front().seq,
-                       inflight.front().trace_id);
-    inflight.pop_front();
+  while (!batches.empty() && batches.front().epoch == head.epoch &&
+         batches.front().seq <= head.seq) {
+    const PendingCommit& c = batches.front();
+    commit_latency_us_.record_signed((now - c.sent).usec);
+    if (hub_.journal.recording(obs::Kind::kCommit)) {
+      hub_.journal.span(obs::Kind::kCommit, node_id(), c.sent.usec, now.usec,
+                        group_tag(group), c.seq, c.trace_id);
+    }
+    batches.pop_front();
   }
-  if (inflight.empty()) {
+  if (batches.empty()) {
+    hub_.journal.end(it->second.op, now.usec);
     pending_commits_.erase(it);
-    end_append_op(group);
-  } else if (const auto at = append_ops_.find(group);
-             at != append_ops_.end()) {
-    hub_.inflight.progress(at->second, now.usec);
+  } else {
+    hub_.journal.progress(it->second.op, now.usec);
   }
 }
 
@@ -1365,7 +1352,7 @@ void ClashServer::handle_snapshot_offer(ServerId from,
   if (m.total_chunks == 0 || m.total_chunks > kMaxSaneChunks) {
     stats_.corrupt_rejected++;
     corrupt_rejected_total_.inc();
-    flight(obs::FlightKind::kCorruptReject, group_tag(m.group));
+    note(obs::Kind::kCorruptReject, m.group);
     return;
   }
   if (const auto* entry = table_.find(m.group);
@@ -1384,12 +1371,11 @@ void ClashServer::handle_snapshot_offer(ServerId from,
     stats_.snapshot_offers_ignored++;
     return;
   }
-  flight(obs::FlightKind::kSnapshotOfferRecv, group_tag(m.group),
-         m.total_chunks);
   if (rec.pending) {
-    // A strictly fresher offer preempts the assembly in flight; its
-    // in-flight entry must not outlive the record it tracked.
-    hub_.inflight.end(rec.pending->inflight_token);
+    // A strictly fresher offer preempts the assembly in flight; its op
+    // must not outlive the record it tracked.
+    hub_.journal.abort(rec.pending->op, env_.now().usec,
+                       rec.pending->owner.value);
   }
   ReplicaRecord::PendingSnapshot pending;
   pending.head = m.head;
@@ -1397,11 +1383,8 @@ void ClashServer::handle_snapshot_offer(ServerId from,
   pending.root = m.root;
   pending.parent = m.parent;
   pending.total = m.total_chunks;
-  pending.started = env_.now();
-  pending.trace_id = m.trace_id;
-  pending.inflight_token = hub_.inflight.begin(
-      obs::OpKind::kSnapshotIn, std::uint32_t(self_.value), m.group.label(),
-      from.value, env_.now().usec, m.total_chunks);
+  pending.op = begin_op(obs::Kind::kSnapshotIn, m.group, from,
+                        m.total_chunks, m.trace_id);
   rec.pending = std::move(pending);
   rec.last_nacked = repl::LogHead{};  // the new stream starts clean
 }
@@ -1415,7 +1398,7 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
   if (m.checksum != 0 && m.checksum != wire::content_crc(m)) {
     stats_.corrupt_rejected++;
     corrupt_rejected_total_.inc();
-    flight(obs::FlightKind::kCorruptReject, group_tag(m.group));
+    note(obs::Kind::kCorruptReject, m.group);
     return;
   }
   if (const auto* entry = table_.find(m.group);
@@ -1440,9 +1423,7 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
     // restarts NOW — staying silent would leave it streaming a dead
     // transfer while recovery waits out a full anti-entropy period.
     if (rec.pending) {
-      flight(obs::FlightKind::kSnapshotAborted, group_tag(m.group),
-             from.value);
-      hub_.inflight.end(rec.pending->inflight_token);
+      hub_.journal.abort(rec.pending->op, env_.now().usec, from.value);
     }
     rec.pending.reset();
     rec.last_nacked = m.head;
@@ -1466,7 +1447,7 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
                      m.app_state.end());
   for (const auto& d : m.app_deltas) p.app_deltas.push_back(d);
   ++p.received;
-  hub_.inflight.progress(p.inflight_token, env_.now().usec);
+  hub_.journal.progress(p.op, env_.now().usec);
   if (p.received < p.total) return;
 
   // Complete: install the image and re-anchor the retained log.
@@ -1478,12 +1459,8 @@ void ClashServer::handle_snapshot_chunk(ServerId from,
   rec.app_tail = std::move(p.app_deltas);
   rec.log.reset(m.head.epoch, m.head.seq);
   if (rec.advertised < m.head) rec.advertised = m.head;
-  snapshot_install_us_.record_signed((env_.now() - p.started).usec);
-  hub_.tracer.record(obs::SpanKind::kSnapshotTransfer, self_.value,
-                      p.started, env_.now() - p.started, p.total,
-                      p.trace_id);
-  flight(obs::FlightKind::kSnapshotInstalled, group_tag(m.group), p.total);
-  hub_.inflight.end(p.inflight_token);
+  snapshot_install_us_.record_signed(env_.now().usec - p.op.start_us);
+  hub_.journal.end(p.op, env_.now().usec, p.total);
   rec.pending.reset();
   if (recovery_.active(m.group)) {
     recovery_.note_snapshot_pulled(m.group);
@@ -1583,13 +1560,8 @@ void ClashServer::begin_group_recovery(const KeyGroup& group) {
   const repl::LogHead start =
       it != replicas_.end() ? it->second.log.head() : repl::LogHead{};
   if (!recovery_.begin(group, start)) return;  // probes already out
-  recovery_started_.try_emplace(group, env_.now());
-  flight(obs::FlightKind::kRecoveryBegin, group_tag(group));
-  auto& tok = recovery_ops_[group];
-  if (tok != 0) hub_.inflight.end(tok);
-  tok = hub_.inflight.begin(obs::OpKind::kRecoveryPull,
-                            std::uint32_t(self_.value), group.label(), 0,
-                            env_.now().usec);
+  recovery_ops_[group] =
+      begin_op(obs::Kind::kRecoveryPull, group, ServerId{0});
   const AntiEntropyDiff pull{{GroupHead{group, start}}};
   for (const ServerId peer : replica_set(group)) {
     if (peer != self_) env_.send(peer, pull);
@@ -1677,8 +1649,7 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
   // promotion is dropped with it, or it would suppress the peer
   // probes of every future recovery of this group.
   if (const auto* existing = table_.find(group)) {
-    recovery_.cancel(group);
-    end_recovery_op(group);
+    abandon_group_recovery(group);
     return existing->active;
   }
   for (const ServerTableEntry* e : table_.active_entries()) {
@@ -1686,8 +1657,7 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
       CLASH_WARN << to_string(self_) << ": refusing promotion of "
                  << group.label() << " (overlaps active "
                  << e->group.label() << ")";
-      recovery_.cancel(group);
-      end_recovery_op(group);
+      abandon_group_recovery(group);
       return false;
     }
   }
@@ -1722,25 +1692,17 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
       }
       for (const auto& d : rec.app_tail) app_hooks_->apply_delta(group, d);
     }
-    replicas_.erase(it);
+    erase_replica(it);
     note_group_activated(group);
     stats_.failovers++;
   } else {
     adopt_bare_group(entry);
   }
   recovery_.finish(group, head, advertised);
-  flight(obs::FlightKind::kRecoveryFinish, group_tag(group),
-         recovered ? 1 : 0);
-  flight(obs::FlightKind::kReplicaPromoted, group_tag(group),
-         recovered ? 1 : 0);
-  end_recovery_op(group);
-  if (const auto rs = recovery_started_.find(group);
-      rs != recovery_started_.end()) {
-    const SimDuration took = env_.now() - rs->second;
-    failover_us_.record_signed(took.usec);
-    hub_.tracer.record(obs::SpanKind::kFailover, self_.value, rs->second,
-                        took, recovered ? 1 : 0);
-    recovery_started_.erase(rs);
+  if (const auto rs = recovery_ops_.find(group); rs != recovery_ops_.end()) {
+    failover_us_.record_signed(env_.now().usec - rs->second.start_us);
+    hub_.journal.end(rs->second, env_.now().usec, recovered ? 1 : 0);
+    recovery_ops_.erase(rs);
   }
   // New ownership line: the epoch rises above anything ever advertised
   // and the (new) replica set gets an immediate snapshot, so a second

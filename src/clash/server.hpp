@@ -269,12 +269,14 @@ class ClashServer {
   void begin_group_recovery(const KeyGroup& group);
 
   /// Drop an open recovery session without promoting (the grace-window
-  /// re-check failed: the member rejoined or the ring moved the heir).
+  /// re-check failed: the member rejoined or the ring moved the heir,
+  /// or the group became active some other way).
   void abandon_group_recovery(const KeyGroup& group) {
-    flight(obs::FlightKind::kRecoveryAbandon, group_tag(group));
-    end_recovery_op(group);
     recovery_.cancel(group);
-    recovery_started_.erase(group);
+    if (const auto it = recovery_ops_.find(group); it != recovery_ops_.end()) {
+      hub_.journal.abort(it->second, env_.now().usec);
+      recovery_ops_.erase(it);
+    }
   }
 
   /// Hand every active group whose DHT owner is now `to` over to it
@@ -525,16 +527,23 @@ class ClashServer {
       GroupState state;
       std::vector<std::uint8_t> app_state;
       std::vector<std::vector<std::uint8_t>> app_deltas;
-      /// When the offer opened the assembly (snapshot-transfer span).
-      SimTime started{0};
-      /// Correlation id from the offer (0 = untraced).
-      std::uint64_t trace_id = 0;
-      /// InflightTable registration (kSnapshotIn); 0 when untracked.
-      std::uint64_t inflight_token = 0;
+      /// Journal op (kSnapshotIn) opened by the offer: start time and
+      /// the offer's correlation id.
+      obs::Op op;
     };
     std::optional<PendingSnapshot> pending;
   };
   std::map<KeyGroup, ReplicaRecord> replicas_;
+  /// Erase a replica record; a snapshot assembly it still holds is
+  /// aborted, or its op would stay open (and read as stalled) forever.
+  std::map<KeyGroup, ReplicaRecord>::iterator erase_replica(
+      std::map<KeyGroup, ReplicaRecord>::iterator it) {
+    if (it->second.pending) {
+      hub_.journal.abort(it->second.pending->op, env_.now().usec,
+                         it->second.pending->owner.value);
+    }
+    return replicas_.erase(it);
+  }
 
   /// Paced outbound snapshot transfers: chunks are pre-cut at offer
   /// time (a stable image regardless of later mutations) and drained
@@ -542,8 +551,7 @@ class ClashServer {
   struct OutboundSnapshot {
     std::vector<SnapshotChunk> chunks;
     std::size_t next = 0;
-    /// InflightTable registration (kSnapshotOut); 0 when untracked.
-    std::uint64_t inflight_token = 0;
+    obs::Op op;  // kSnapshotOut, opened by the offer
   };
   std::map<std::pair<ServerId, KeyGroup>, OutboundSnapshot>
       outbound_snapshots_;
@@ -593,67 +601,64 @@ class ClashServer {
   std::map<KeyGroup, GroupCost> group_costs_;
   /// ReplAppend batches in flight: head seq + send time, popped by the
   /// first ok ReplAck at or past that seq (commit-latency histogram).
+  /// One kReplAppend journal op per group spans the time its batch
+  /// queue is non-empty.
   struct PendingCommit {
     std::uint64_t epoch = 0;
     std::uint64_t seq = 0;
     SimTime sent{0};
     std::uint64_t trace_id = 0;
   };
-  std::map<KeyGroup, std::deque<PendingCommit>> pending_commits_;
+  struct PendingCommits {
+    std::deque<PendingCommit> batches;
+    obs::Op op;
+  };
+  std::map<KeyGroup, PendingCommits> pending_commits_;
+  /// Heads registered under the old line can never be acked now.
+  void drop_pending_commits(const KeyGroup& group);
   /// Positive acks owed per peer, newest head per group (owe_ack).
   std::map<ServerId, std::map<KeyGroup, repl::LogHead>> owed_acks_;
   /// Pending flush_owed_acks (ServerEnv::defer_after handle; 0: none).
   std::uint64_t ack_flush_timer_ = 0;
-  /// Recovery sessions opened at promote time (failover span start).
-  std::map<KeyGroup, SimTime> recovery_started_;
+  /// One kRecoveryPull journal op per open recovery session: ended by
+  /// the promotion (the failover span), aborted by any cancellation.
+  std::map<KeyGroup, obs::Op> recovery_ops_;
+  void progress_recovery_op(const KeyGroup& group, std::uint64_t delta) {
+    if (const auto it = recovery_ops_.find(group); it != recovery_ops_.end()) {
+      hub_.journal.progress(it->second, env_.now().usec, delta);
+    }
+  }
 
-  // --- Flight recorder / in-flight table glue --------------------------
-  /// Stable correlation tag for a group in flight events (the label
-  /// string itself lives in the in-flight table entries).
+  // --- Journal glue -----------------------------------------------------
+  /// Stable correlation tag for a group in journal records (the label
+  /// string itself lives in the open-op index).
   [[nodiscard]] static std::uint64_t group_tag(const KeyGroup& group) {
     return std::hash<KeyGroup>{}(group);
   }
-  /// Record one lifecycle event in the hub's flight ring.
-  void flight(obs::FlightKind kind, std::uint64_t a, std::uint64_t b = 0) {
-    hub_.flight.record(kind, std::uint32_t(self_.value), env_.now().usec, a,
-                       b);
+  [[nodiscard]] std::uint32_t node_id() const {
+    return std::uint32_t(self_.value);
   }
-  /// One kReplAppend in-flight op per group while its pending-commit
-  /// deque is non-empty (token keyed like pending_commits_).
-  std::map<KeyGroup, std::uint64_t> append_ops_;
-  /// One kRecoveryPull op per open recovery session.
-  std::map<KeyGroup, std::uint64_t> recovery_ops_;
-  /// Retire the per-group kReplAppend op (pending commits drained or
-  /// invalidated by an epoch change).
-  void end_append_op(const KeyGroup& group) {
-    const auto it = append_ops_.find(group);
-    if (it == append_ops_.end()) return;
-    hub_.inflight.end(it->second);
-    append_ops_.erase(it);
+  /// Record one instant about `group` in the hub's journal.
+  void note(obs::Kind kind, const KeyGroup& group, std::uint64_t b = 0) {
+    if (!hub_.journal.recording(kind)) return;
+    hub_.journal.instant(kind, node_id(), env_.now().usec, group_tag(group),
+                         b, active_trace_);
   }
-  void end_recovery_op(const KeyGroup& group) {
-    const auto it = recovery_ops_.find(group);
-    if (it == recovery_ops_.end()) return;
-    hub_.inflight.end(it->second);
-    recovery_ops_.erase(it);
+  /// Open a journal op about `group` toward `peer`.
+  [[nodiscard]] obs::Op begin_op(obs::Kind kind, const KeyGroup& group,
+                                 ServerId peer, std::uint64_t target = 0,
+                                 std::uint64_t trace_id = 0) {
+    return hub_.journal.begin(kind, node_id(), env_.now().usec,
+                              group.label(), peer.value, group_tag(group),
+                              target, trace_id);
   }
-  void progress_recovery_op(const KeyGroup& group, std::uint64_t delta) {
-    const auto it = recovery_ops_.find(group);
-    if (it != recovery_ops_.end()) {
-      hub_.inflight.progress(it->second, env_.now().usec, delta);
-    }
-  }
-  void end_outbound_op(OutboundSnapshot& out) {
-    if (out.inflight_token != 0) hub_.inflight.end(out.inflight_token);
-    out.inflight_token = 0;
-  }
-  /// Group lifecycle hooks with a flight-ring record attached.
+  /// Group lifecycle hooks with a journal record attached.
   void note_group_activated(const KeyGroup& group) {
-    flight(obs::FlightKind::kGroupActivated, group_tag(group));
+    note(obs::Kind::kGroupActivated, group);
     env_.on_group_activated(group);
   }
   void note_group_deactivated(const KeyGroup& group) {
-    flight(obs::FlightKind::kGroupDeactivated, group_tag(group));
+    note(obs::Kind::kGroupDeactivated, group);
     env_.on_group_deactivated(group);
   }
 

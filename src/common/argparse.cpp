@@ -55,6 +55,18 @@ bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
+std::string ArgParser::repro(
+    std::initializer_list<std::pair<const char*, std::string>> flags) const {
+  std::string out = program_;
+  for (const auto& [name, value] : flags) {
+    out += " --";
+    out += name;
+    out += "=";
+    out += value;
+  }
+  return out;
+}
+
 bool write_json_artifact(const ArgParser& args, const std::string& json) {
   const std::string path = args.get("json", "");
   if (path.empty()) return true;  // artifact not requested

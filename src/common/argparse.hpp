@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace clash {
@@ -33,6 +35,13 @@ class ArgParser {
 
   /// Program name (argv[0]).
   [[nodiscard]] const std::string& program() const { return program_; }
+
+  /// The command that reproduces a seeded run: the program name, then
+  /// ` --name=value` for each flag that determines the run, in order.
+  /// Self-gating benches end every FAIL line with "repro: <this>".
+  [[nodiscard]] std::string repro(
+      std::initializer_list<std::pair<const char*, std::string>> flags)
+      const;
 
  private:
   std::string program_;

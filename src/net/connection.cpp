@@ -69,10 +69,10 @@ void Connection::set_obs(obs::Hub* hub, std::int64_t epoch_us) {
     flush_syscalls_c_ = {};
     frames_received_c_ = {};
     bytes_received_c_ = {};
-    flight_ = nullptr;
+    journal_ = nullptr;
     return;
   }
-  flight_ = &hub->flight;
+  journal_ = &hub->journal;
   flight_epoch_us_ = epoch_us;
   auto& r = hub->registry;
   frames_sent_c_ = r.counter("clash_net_frames_sent_total");
@@ -189,9 +189,9 @@ bool Connection::enqueue(std::vector<std::uint8_t>&& frame) {
       // The network ate it: the sender cannot tell, exactly like a
       // lossy link. The buffer still recycles.
       ++stats_.faults_dropped;
-      if (flight_ != nullptr) {
-        flight_->record(obs::FlightKind::kFaultDrop, 0, flight_now_us(),
-                        std::uint64_t(fd_.get()), stats_.faults_dropped);
+      if (journal_ != nullptr) {
+        journal_->instant(obs::Kind::kFaultDrop, 0, flight_now_us(),
+                          std::uint64_t(fd_.get()), stats_.faults_dropped);
       }
       wire::BufferPool::local().release(std::move(frame));
       return true;
@@ -215,9 +215,9 @@ bool Connection::enqueue(std::vector<std::uint8_t>&& frame) {
            type == wire::MsgType::kReplAppend ||
            type == wire::MsgType::kSnapshotChunk)) {
         ++stats_.faults_corrupted;
-        if (flight_ != nullptr) {
-          flight_->record(obs::FlightKind::kFaultCorrupt, 0,
-                          flight_now_us(), std::uint64_t(fd_.get()));
+        if (journal_ != nullptr) {
+          journal_->instant(obs::Kind::kFaultCorrupt, 0, flight_now_us(),
+                            std::uint64_t(fd_.get()));
         }
         fault_->corrupt_byte(std::span<std::uint8_t>(
             frame.data() + kContentOff, frame.size() - kContentOff));

@@ -31,10 +31,9 @@
 #include "common/affinity.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "obs/flightrec.hpp"
 #include "obs/histogram.hpp"
+#include "obs/journal.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace.hpp"
 
 namespace clash::net {
 
@@ -108,27 +107,20 @@ class EventLoop {
 
   /// Attach tick observability (call before run()). Every dispatch
   /// round — from an epoll_wait wakeup to the next wait, idle time
-  /// excluded — records its duration into `tick_hist`; rounds of 1ms
-  /// or longer also land a kLoopTick span in `tracer` (when enabled).
-  /// Timestamps are steady-clock microseconds. Null pointers detach.
-  void set_obs(obs::Histogram* tick_hist, obs::TraceRecorder* tracer,
-               std::uint64_t pid) CLASH_REQUIRES(affinity_) {
-    tick_hist_ = tick_hist;
-    tracer_ = tracer;
-    obs_pid_ = pid;
-  }
-
-  /// Attach the flight recorder + post-hoc tick-budget fence (call
-  /// before run()). A dispatch round that finishes but exceeded
-  /// `budget_us` lands a kTickOverrun flight event and bumps
-  /// `overruns`; the live wedged-tick case is the watchdog's job via
-  /// current_tick(). Null flight detaches.
-  /// `epoch_us` (steady-clock microseconds) is subtracted from event
-  /// timestamps so they share the embedding node's timeline.
-  void set_stall_obs(obs::FlightRecorder* flight, obs::Counter overruns,
-                     std::int64_t budget_us, std::int64_t epoch_us = 0)
+  /// excluded — records its duration into `tick_hist`. A round that
+  /// finished but exceeded `budget_us` bumps `overruns` and lands a
+  /// kTickOverrun record in `journal`; rounds of 1ms or longer land a
+  /// kLoopTick record while the journal is tracing. The live wedged-tick
+  /// case is the watchdog's job via current_tick(). Record timestamps
+  /// are steady-clock microseconds minus `epoch_us`, so they share the
+  /// embedding node's timeline. Null pointers detach.
+  void set_obs(obs::Histogram* tick_hist, obs::Journal* journal,
+               std::uint32_t node, obs::Counter overruns = {},
+               std::int64_t budget_us = 0, std::int64_t epoch_us = 0)
       CLASH_REQUIRES(affinity_) {
-    flight_ = flight;
+    tick_hist_ = tick_hist;
+    journal_ = journal;
+    obs_node_ = node;
     tick_overruns_c_ = overruns;
     tick_budget_us_ = budget_us;
     stall_epoch_us_ = epoch_us;
@@ -201,9 +193,8 @@ class EventLoop {
   std::atomic<bool> exited_{false};
 
   obs::Histogram* tick_hist_ CLASH_GUARDED_BY(affinity_) = nullptr;
-  obs::TraceRecorder* tracer_ CLASH_GUARDED_BY(affinity_) = nullptr;
-  std::uint64_t obs_pid_ CLASH_GUARDED_BY(affinity_) = 0;
-  obs::FlightRecorder* flight_ CLASH_GUARDED_BY(affinity_) = nullptr;
+  obs::Journal* journal_ CLASH_GUARDED_BY(affinity_) = nullptr;
+  std::uint32_t obs_node_ CLASH_GUARDED_BY(affinity_) = 0;
   obs::Counter tick_overruns_c_ CLASH_GUARDED_BY(affinity_);
   std::int64_t tick_budget_us_ CLASH_GUARDED_BY(affinity_) = 0;
   std::int64_t stall_epoch_us_ CLASH_GUARDED_BY(affinity_) = 0;

@@ -125,9 +125,9 @@ class ClashNode::GossipEnv final : public membership::MembershipEnv {
   }
   void on_member_suspected(ServerId id) override {
     node_.on_loop_.assert_held();
-    node_.hub_.flight.record(obs::FlightKind::kMemberSuspected,
-                             std::uint32_t(node_.config_.id.value),
-                             node_.node_now_us(), id.value);
+    node_.hub_.journal.instant(obs::Kind::kMemberSuspected,
+                               std::uint32_t(node_.config_.id.value),
+                               node_.node_now_us(), id.value);
   }
 
  private:
@@ -185,17 +185,15 @@ ClashNode::ClashNode(NodeConfig config)
     membership_->set_census(&census_);
   }
   epoch_ = std::chrono::steady_clock::now();
+  // Tick-budget overruns land in the journal on the node's timeline
+  // (steady clock relative to epoch_).
   loop_->set_obs(hub_.registry.histogram("clash_loop_tick_usec").raw(),
-                 &hub_.tracer, config_.id.value);
-  // Flight-recorder wiring: tick-budget overruns land in the ring on
-  // the node's timeline (steady clock relative to epoch_).
-  loop_->set_stall_obs(
-      &hub_.flight,
-      hub_.registry.counter("clash_stall_tick_overruns_total"),
-      config_.watchdog.tick_budget_us,
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          epoch_.time_since_epoch())
-          .count());
+                 &hub_.journal, std::uint32_t(config_.id.value),
+                 hub_.registry.counter("clash_stall_tick_overruns_total"),
+                 config_.watchdog.tick_budget_us,
+                 std::chrono::duration_cast<std::chrono::microseconds>(
+                     epoch_.time_since_epoch())
+                     .count());
   register_node_gauges();
 }
 
@@ -302,9 +300,10 @@ void ClashNode::stop() {
   on_loop_.assert_held();
   loop_->assert_on_loop();
   peers_.clear();
+  for (auto& [_, pending] : connecting_) {
+    hub_.journal.abort(pending.op, node_now_us());
+  }
   connecting_.clear();
-  for (const auto& [_, token] : connect_ops_) hub_.inflight.end(token);
-  connect_ops_.clear();
   inbound_.clear();
   for (const auto& [fd, _] : stats_clients_) loop_->remove_fd(fd);
   stats_clients_.clear();
@@ -363,9 +362,9 @@ std::string ClashNode::render_postmortem_source() {
   std::string out = "{\"node\":" + std::to_string(config_.id.value);
   out += ",\"now_us\":" + std::to_string(now);
   out += ",\"flight\":";
-  out += hub_.flight.to_json();
+  out += hub_.journal.flight_json();
   out += ",\"inflight\":";
-  out += hub_.inflight.to_json(now);
+  out += hub_.journal.inflight_json(now);
   out += ",\"state\":";
   // try_lock, never lock: the refresh writer runs on the loop thread,
   // and the loop thread may be exactly what crashed.
@@ -450,9 +449,9 @@ void ClashNode::on_member_dead(ServerId id) {
   if (id == config_.id || !ring_->contains(id)) return;
   CLASH_WARN << to_string(config_.id) << ": member " << to_string(id)
              << " declared dead; removing from ring";
-  hub_.flight.record(obs::FlightKind::kMemberDead,
-                     std::uint32_t(config_.id.value), node_now_us(),
-                     id.value);
+  hub_.journal.instant(obs::Kind::kMemberDead,
+                       std::uint32_t(config_.id.value), node_now_us(),
+                       id.value);
   ring_->remove_server(id);
   peers_.erase(id);
   drop_pending_connect(id, "member died");
@@ -472,9 +471,9 @@ void ClashNode::on_member_joined(ServerId id) {
   if (ring_->contains(id)) return;
   CLASH_INFO << to_string(config_.id) << ": member " << to_string(id)
              << " rejoined; adding to ring";
-  hub_.flight.record(obs::FlightKind::kMemberJoined,
-                     std::uint32_t(config_.id.value), node_now_us(),
-                     id.value);
+  hub_.journal.instant(obs::Kind::kMemberJoined,
+                       std::uint32_t(config_.id.value), node_now_us(),
+                       id.value);
   ring_->add_server(id);
   // Rejoin-gap fix: a restarted node comes back empty, yet the grown
   // ring routes its old key ranges to it again. Hand every active
@@ -706,25 +705,25 @@ void ClashNode::on_stats_client(int fd, std::uint32_t events) {
     std::string body;
     const char* content_type = "text/plain; version=0.0.4";
     if (client.in.find(" /trace") != std::string::npos) {
-      body = hub_.tracer.to_chrome_json();
+      body = hub_.journal.chrome_json();
       content_type = "application/json";
     } else if (client.in.find(" /flightrec") != std::string::npos) {
-      // The live black box: flight ring + in-flight op table, the same
-      // payload a postmortem dump would carry for this node.
+      // The live black box: the journal's lifecycle records and open
+      // ops, the same payload a postmortem dump would carry.
       const std::int64_t now = node_now_us();
       body = "{\"node\":" + std::to_string(config_.id.value) +
              ",\"now_us\":" + std::to_string(now) + ",\"flight\":" +
-             hub_.flight.to_json() + ",\"inflight\":" +
-             hub_.inflight.to_json(now) + "}\n";
+             hub_.journal.flight_json() + ",\"inflight\":" +
+             hub_.journal.inflight_json(now) + "}\n";
       content_type = "application/json";
     } else if (client.in.find(" /healthz") != std::string::npos) {
       const auto view = census_.view();
       body = "{\"status\":\"ok\",\"ring_servers\":" +
              std::to_string(ring_->server_count()) +
              ",\"trace_spans\":" +
-             std::to_string(hub_.tracer.spans().size()) +
+             std::to_string(hub_.journal.spans().size()) +
              ",\"trace_dropped\":" +
-             std::to_string(hub_.tracer.dropped()) +
+             std::to_string(hub_.journal.dropped()) +
              ",\"census_nodes\":" + std::to_string(view.nodes.size()) +
              ",\"census_max_age_periods\":" +
              std::to_string(view.max_age_periods) + "}\n";
@@ -851,11 +850,10 @@ void ClashNode::begin_connect(ServerId to,
         on_loop_.assert_held();
         drop_pending_connect(to, "connect timeout");
       });
+  pending.op = hub_.journal.begin(obs::Kind::kConnect,
+                                  std::uint32_t(config_.id.value),
+                                  node_now_us(), "", to.value);
   connecting_.emplace(to, std::move(pending));
-  connect_ops_[to] =
-      hub_.inflight.begin(obs::OpKind::kConnect,
-                          std::uint32_t(config_.id.value), "", to.value,
-                          node_now_us());
   loop_->add_fd(raw_fd, EPOLLOUT, [this, to](std::uint32_t events) {
     on_loop_.assert_held();
     finish_connect(to, events);
@@ -875,10 +873,7 @@ void ClashNode::finish_connect(ServerId to, std::uint32_t events) {
   }
   PendingConnect pending = std::move(it->second);
   connecting_.erase(it);
-  if (const auto op = connect_ops_.find(to); op != connect_ops_.end()) {
-    hub_.inflight.end(op->second);
-    connect_ops_.erase(op);
-  }
+  hub_.journal.end(pending.op, node_now_us());
   loop_->assert_on_loop();
   loop_->cancel_timer(pending.timeout_timer);
   loop_->remove_fd(pending.fd.get());
@@ -900,11 +895,8 @@ void ClashNode::drop_pending_connect(ServerId to, const char* reason) {
   loop_->assert_on_loop();
   loop_->cancel_timer(it->second.timeout_timer);
   loop_->remove_fd(it->second.fd.get());
+  hub_.journal.abort(it->second.op, node_now_us());
   connecting_.erase(it);
-  if (const auto op = connect_ops_.find(to); op != connect_ops_.end()) {
-    hub_.inflight.end(op->second);
-    connect_ops_.erase(op);
-  }
 }
 
 void ClashNode::send_to_peer(ServerId to, std::vector<std::uint8_t>&& frame) {

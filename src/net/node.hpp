@@ -79,15 +79,16 @@ struct NodeConfig {
   /// Prometheus text exposition over plain HTTP, read-only, off the
   /// existing event loop (no extra thread). -1 disables; 0 picks a
   /// free port — read it back with ClashNode::stats_port(). Besides
-  /// the default metrics document it serves GET /trace (Chrome
-  /// trace_event JSON), GET /healthz (liveness + census freshness),
-  /// and GET /flightrec (flight-recorder ring + in-flight op table).
+  /// the default metrics document it serves three views of the node's
+  /// journal: GET /trace (Chrome trace_event JSON), GET /flightrec
+  /// (lifecycle records + open ops), and GET /healthz (liveness,
+  /// journal size, census freshness).
   int stats_port = -1;
   /// Cost-census dissemination knobs (records piggyback on SWIM
   /// gossip; inert when enable_membership is false).
   obs::CensusConfig census;
   /// Stall watchdog: a sidecar thread polling the loop's tick probe
-  /// and the in-flight table; verdicts bump clash_stall_* and (rate
+  /// and the journal's open ops; verdicts bump clash_stall_* and (rate
   /// limited) trigger a postmortem dump.
   obs::StallWatchdog::Config watchdog;
   /// Where this node's postmortem dumps land; "" defaults to
@@ -214,6 +215,7 @@ class ClashNode {
     Fd fd;
     std::uint64_t timeout_timer = 0;
     std::vector<std::vector<std::uint8_t>> queued;
+    obs::Op op;  // kConnect journal op
   };
   /// Frames buffered per pending connect; beyond this they are
   /// dropped (SWIM retransmits, requests time out and retry).
@@ -256,13 +258,13 @@ class ClashNode {
   /// Rebuild the cached registry/census JSON the postmortem source
   /// serves (loop thread; the only writer of pm_cache_).
   void refresh_postmortem_cache() CLASH_REQUIRES(on_loop_);
-  /// The postmortem source body: flight ring + in-flight table (lock
-  /// free) + the cached state snapshot (try_lock; null when contended).
+  /// The postmortem source body: the journal's flight + in-flight views
+  /// (lock free) + the cached state snapshot (try_lock; null when contended).
   /// Runs on whatever thread is dumping — crash-context safe.
   [[nodiscard]] std::string render_postmortem_source()
       CLASH_NO_THREAD_SAFETY_ANALYSIS;
   /// Microseconds since this node's epoch on the steady clock — the
-  /// timebase of every flight event and in-flight stamp the node
+  /// timebase of every journal record and open-op stamp the node
   /// records (matches Env::now()).
   [[nodiscard]] std::int64_t node_now_us() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -288,7 +290,7 @@ class ClashNode {
   NodeConfig config_;  // immutable after construction
   /// Declared before env_/server_: the Env's obs() override hands this
   /// hub to the ClashServer constructor. Internally synchronized
-  /// (Registry/TraceRecorder carry their own mutexes) — but gauge
+  /// (the Registry's mutex, the Journal's lock-free slots) — but gauge
   /// callbacks registered by this node touch loop-affine state, so
   /// scrapes of THIS hub must run on the loop (scrape_text() does).
   obs::Hub hub_;
@@ -330,8 +332,6 @@ class ClashNode {
   std::atomic<bool> running_{false};
   std::chrono::steady_clock::time_point epoch_;  // set once in ctor
 
-  /// Tokens of in-flight kConnect ops, keyed like connecting_.
-  std::map<ServerId, std::uint64_t> connect_ops_ CLASH_GUARDED_BY(on_loop_);
   /// Cached registry/census JSON for the postmortem source: written by
   /// a loop timer, read (try_lock) from whatever thread is crashing.
   common::Mutex pm_cache_mu_;

@@ -1,7 +1,7 @@
 // Postmortem: the crash/abort dump plane. A process-global registry of
-// named JSON sources (each node registers its flight ring, in-flight
-// table, and a cached registry/census snapshot) plus signal handlers
-// (SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL) and a programmatic dump()
+// named JSON sources (each node registers its journal's flight and
+// in-flight views, and a cached registry/census snapshot) plus signal
+// handlers (SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL) and a programmatic dump()
 // entry point for invariant-check and ablation-gate failures. A dump
 // serializes every source to one self-describing JSON file,
 // `<dir>/postmortem-<unixtime>-<pid>-<n>.json`, so a CI failure or a
@@ -86,8 +86,8 @@ class Postmortem {
   std::atomic<std::uint64_t> ordinal_{0};
 };
 
-/// Convenience: register `hub`'s flight ring + in-flight table as one
-/// postmortem source (the shape sim substrates and benches need —
+/// Convenience: register `hub`'s journal (flight + in-flight views) as
+/// one postmortem source (the shape sim substrates and benches need —
 /// net::ClashNode registers a richer source of its own). `now_us`
 /// supplies the clock the in-flight ages are judged against.
 std::uint64_t register_hub_source(Postmortem& pm, Hub& hub,

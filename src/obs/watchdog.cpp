@@ -50,13 +50,13 @@ std::size_t StallWatchdog::poll_once(std::int64_t now_us) {
         ++fresh;
         stall_ticks_.fetch_add(1, std::memory_order_relaxed);
         stall_ticks_c_.inc();
-        hub_.flight.record(FlightKind::kStallTick, node_, now_us,
-                           std::uint64_t(age), seq);
+        hub_.journal.instant(Kind::kStallTick, node_, now_us,
+                             std::uint64_t(age), seq);
       }
     }
   }
 
-  const auto stalled = hub_.inflight.stalled(now_us, cfg_.op_stall_us);
+  const auto stalled = hub_.journal.stalled(now_us, cfg_.op_stall_us);
   std::set<std::uint64_t> live;
   for (const auto& op : stalled) {
     live.insert(op.token);
@@ -64,8 +64,8 @@ std::size_t StallWatchdog::poll_once(std::int64_t now_us) {
     ++fresh;
     stall_ops_.fetch_add(1, std::memory_order_relaxed);
     stall_ops_c_.inc();
-    hub_.flight.record(FlightKind::kStallOp, node_, now_us, op.token,
-                       std::uint64_t(now_us - op.last_progress_us));
+    hub_.journal.instant(Kind::kStallOp, node_, now_us, op.token,
+                         std::uint64_t(now_us - op.last_progress_us));
   }
   // Forget tokens that ended or resumed so a relapse re-reports.
   stalled_tokens_ = std::move(live);

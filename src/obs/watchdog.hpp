@@ -6,9 +6,9 @@
 // never fires. The watchdog polls from its own thread:
 //   * tick stalls — the loop published a tick start and hasn't
 //     finished it within the budget;
-//   * op stalls — an InflightTable entry with no progress past the
+//   * op stalls — an open journal op with no progress past the
 //     threshold.
-// Verdicts bump clash_stall_* counters, land in the flight ring, and
+// Verdicts bump clash_stall_* counters, land in the journal, and
 // (rate-limited) trigger a postmortem dump, so a wedged-but-alive node
 // ships the same black box a crashed one does.
 //
@@ -56,7 +56,7 @@ class StallWatchdog {
   /// All setters must precede start().
   void set_tick_probe(TickProbe probe) { tick_probe_ = std::move(probe); }
   /// `now_us` supplies the clock poll verdicts are judged against
-  /// (must match the clock InflightTable entries were stamped with).
+  /// (must match the clock journal ops were stamped with).
   void set_clock(std::function<std::int64_t()> now_us) {
     now_us_ = std::move(now_us);
   }

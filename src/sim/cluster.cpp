@@ -522,8 +522,8 @@ void SimCluster::count_message(const Message& msg) {
 std::optional<std::string> SimCluster::check_invariants() const {
   auto err = check_invariants_impl();
   if (err) {
-    obs::Hub::global().flight.record(obs::FlightKind::kInvariantFail, 0,
-                                     now().usec);
+    obs::Hub::global().journal.instant(obs::Kind::kInvariantFail, 0,
+                                       now().usec);
   }
   return err;
 }

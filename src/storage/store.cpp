@@ -50,8 +50,8 @@ void NodeStore::set_obs(obs::Hub* hub, std::uint64_t node) {
   }
   fsync_us_ = hub_->registry.histogram("clash_wal_fsync_usec");
   hub_->registry.gauge("clash_storage_recovery_usec").set(recovery_usec_);
-  hub_->tracer.record(obs::SpanKind::kRecoveryScan, node_, SimTime{0},
-                      SimDuration{recovery_usec_}, recovered_groups_);
+  hub_->journal.span(obs::Kind::kRecoveryScan, std::uint32_t(node_), 0,
+                     recovery_usec_, 0, recovered_groups_);
 }
 
 std::uint64_t NodeStore::append_op(const KeyGroup& group, repl::LogHead head,
@@ -63,8 +63,8 @@ std::uint64_t NodeStore::append_op(const KeyGroup& group, repl::LogHead head,
   stats_.ops_appended++;
   if (hub_ != nullptr &&
       wal_->stats().segments_opened != segments_before) {
-    hub_->flight.record(obs::FlightKind::kWalRollover, std::uint32_t(node_),
-                        now.usec, wal_->stats().segments_opened);
+    hub_->journal.instant(obs::Kind::kWalRollover, std::uint32_t(node_),
+                          now.usec, wal_->stats().segments_opened);
   }
   maybe_sync(now);
   return wal_->stats().bytes - before;
@@ -136,11 +136,8 @@ bool NodeStore::timed_sync(SimTime now) {
                       std::chrono::steady_clock::now() - t0)
                       .count();
   fsync_us_.record(std::uint64_t(us));
-  hub_->tracer.record(obs::SpanKind::kWalFsync, node_, now,
-                      SimDuration{us});
-  hub_->flight.record(obs::FlightKind::kWalFsync, std::uint32_t(node_),
-                      now.usec, std::uint64_t(us),
-                      std::uint64_t(ok ? 0 : 1));
+  hub_->journal.span(obs::Kind::kWalFsync, std::uint32_t(node_), now.usec,
+                     now.usec + us, std::uint64_t(us), ok ? 0 : 1);
   return ok;
 }
 

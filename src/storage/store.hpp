@@ -119,9 +119,9 @@ class NodeStore {
 
   /// Attach an observability hub: fsync latencies feed its
   /// clash_wal_fsync_usec histogram (wall-clock cost of each sync,
-  /// traced as WalFsync spans stamped with `node`), and the
+  /// one kWalFsync journal record stamped with `node`), and the
   /// construction-time recovery scan is published as the
-  /// clash_storage_recovery_usec gauge plus a RecoveryScan span.
+  /// clash_storage_recovery_usec gauge plus a kRecoveryScan record.
   void set_obs(obs::Hub* hub, std::uint64_t node);
 
   [[nodiscard]] const Stats& stats() const {

@@ -47,6 +47,13 @@ TEST(ArgParser, ProgramName) {
   EXPECT_EQ(p.program(), "prog");
 }
 
+TEST(ArgParser, ReproListsTheGivenFlagsInOrder) {
+  const auto p = parse({"./bench", "--seed=7", "--extra"});
+  EXPECT_EQ(p.repro({{"servers", "16"}, {"seed", "7"}}),
+            "./bench --servers=16 --seed=7");
+  EXPECT_EQ(p.repro({}), "./bench");
+}
+
 TEST(ArgParser, BoolSpellings) {
   const auto p = parse({"prog", "--a=true", "--b=1", "--c=yes", "--d=false"});
   EXPECT_TRUE(p.get_bool("a", false));

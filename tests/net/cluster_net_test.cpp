@@ -11,6 +11,7 @@
 #include "clash/bootstrap.hpp"
 #include "net/blocking_client.hpp"
 #include "net/node.hpp"
+#include "tests/net/probed_ports.hpp"
 
 namespace clash::net {
 namespace {
@@ -27,43 +28,26 @@ struct NetCluster {
     clash.initial_depth = kInitialDepth;
     clash.capacity = 100;
 
-    // Start every node on an auto-assigned port, then share the final
-    // address book (members are needed before traffic, not before bind).
+    // Start every node on a probed port, then share the final address
+    // book (members are needed before traffic, not before bind).
     std::map<ServerId, Endpoint> members;
     for (std::size_t i = 0; i < kNodes; ++i) {
       NodeConfig cfg;
       cfg.id = ServerId{i};
-      cfg.listen = Endpoint{"127.0.0.1", 0};
-      cfg.members[cfg.id] = cfg.listen;  // placeholder; fixed below
       cfg.clash = clash;
       cfg.ring_salt = 99;
       cfg.load_check_interval = std::chrono::milliseconds(25);
       configs.push_back(cfg);
     }
-    // Bind pass: create and start with placeholder member lists, ports
-    // resolve on start. Nodes are then rebuilt with the full book.
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      auto probe = std::make_unique<ClashNode>(configs[i]);
-      probe->start();
-      members[ServerId{i}] =
-          Endpoint{"127.0.0.1", probe->port()};
-      probe->stop();
-      configs[i].listen = members[ServerId{i}];
-    }
-    for (auto& cfg : configs) cfg.members = members;
-    for (const auto& cfg : configs) {
-      nodes.push_back(std::make_unique<ClashNode>(cfg));
-    }
-
     // Paper bootstrap: computed once, installed everywhere.
     const auto& ring_view = *static_ring();
     const auto entries =
         compute_bootstrap_entries(ring_view, ring_view.hasher(), clash);
-    for (auto& node : nodes) {
-      const auto it = entries.find(node->id());
-      if (it != entries.end()) node->install_entries(it->second);
-      node->start();
-    }
+    nodes = testing::start_on_probed_ports(
+        configs, members, [&entries](std::size_t, ClashNode& node) {
+          const auto it = entries.find(node.id());
+          if (it != entries.end()) node.install_entries(it->second);
+        });
 
     BlockingClient::Config ccfg;
     ccfg.members = members;

@@ -17,6 +17,7 @@
 #include "clash/bootstrap.hpp"
 #include "net/blocking_client.hpp"
 #include "net/node.hpp"
+#include "tests/net/probed_ports.hpp"
 
 namespace clash::net {
 namespace {
@@ -145,8 +146,6 @@ TEST(DurableRestartNet, QuickRestartKeepsOwnershipWithoutSnapshotPull) {
   for (std::size_t i = 0; i < 2; ++i) {
     auto& cfg = configs[i];
     cfg.id = ServerId{i};
-    cfg.listen = Endpoint{"127.0.0.1", 0};
-    cfg.members[cfg.id] = cfg.listen;
     cfg.clash = durable_clash(1);
     cfg.storage_dir = dirs[i];
     cfg.ring_salt = 99;
@@ -156,15 +155,6 @@ TEST(DurableRestartNet, QuickRestartKeepsOwnershipWithoutSnapshotPull) {
     // A quick restart must beat the death verdict.
     cfg.membership.suspicion_periods = 40;
   }
-  for (std::size_t i = 0; i < 2; ++i) {
-    ClashNode probe(configs[i]);
-    probe.start();
-    members[ServerId{i}] = Endpoint{"127.0.0.1", probe.port()};
-    probe.stop();
-    configs[i].listen = members[ServerId{i}];
-  }
-  for (auto& cfg : configs) cfg.members = members;
-
   dht::ChordRing ring(dht::ChordRing::Config{32, 8,
                                              dht::KeyHasher::Algo::kSha1,
                                              99});
@@ -173,13 +163,11 @@ TEST(DurableRestartNet, QuickRestartKeepsOwnershipWithoutSnapshotPull) {
   const auto entries =
       compute_bootstrap_entries(ring, ring.hasher(), configs[0].clash);
 
-  std::unique_ptr<ClashNode> nodes[2];
-  for (std::size_t i = 0; i < 2; ++i) {
-    nodes[i] = std::make_unique<ClashNode>(configs[i]);
-    const auto it = entries.find(ServerId{i});
-    if (it != entries.end()) nodes[i]->install_entries(it->second);
-    nodes[i]->start();
-  }
+  auto nodes = testing::start_on_probed_ports(
+      configs, members, [&entries](std::size_t i, ClashNode& node) {
+        const auto it = entries.find(ServerId{i});
+        if (it != entries.end()) node.install_entries(it->second);
+      });
 
   BlockingClient::Config ccfg;
   ccfg.members = members;

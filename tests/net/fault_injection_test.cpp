@@ -18,6 +18,7 @@
 #include "net/connection.hpp"
 #include "net/fault.hpp"
 #include "net/node.hpp"
+#include "tests/net/probed_ports.hpp"
 #include "wire/buffer.hpp"
 #include "wire/codec.hpp"
 
@@ -253,35 +254,25 @@ TEST(SnapshotPacing, PacedTransferConvergesThroughDrainCallbacks) {
   std::map<ServerId, Endpoint> members;
   for (std::size_t i = 0; i < 2; ++i) {
     configs[i].id = ServerId{i};
-    configs[i].listen = Endpoint{"127.0.0.1", 0};
-    configs[i].members[configs[i].id] = configs[i].listen;
     configs[i].clash = clash;
     configs[i].ring_salt = 99;
     configs[i].load_check_interval = std::chrono::milliseconds(25);
     configs[i].protocol_period = std::chrono::milliseconds(20);
     configs[i].snapshot_pace_bytes = 64;
     configs[i].snapshot_burst_chunks = 1;
-    auto probe = std::make_unique<ClashNode>(configs[i]);
-    probe->start();
-    members[ServerId{i}] = Endpoint{"127.0.0.1", probe->port()};
-    probe->stop();
-    configs[i].listen = members[ServerId{i}];
   }
-  for (auto& cfg : configs) cfg.members = members;
 
   dht::ChordRing ring(
       dht::ChordRing::Config{32, 8, dht::KeyHasher::Algo::kSha1, 99});
   ring.add_server(ServerId{0});
   ring.add_server(ServerId{1});
 
-  std::vector<std::unique_ptr<ClashNode>> nodes;
   const auto entries = compute_bootstrap_entries(ring, ring.hasher(), clash);
-  for (std::size_t i = 0; i < 2; ++i) {
-    nodes.push_back(std::make_unique<ClashNode>(configs[i]));
-    const auto it = entries.find(nodes[i]->id());
-    if (it != entries.end()) nodes[i]->install_entries(it->second);
-    nodes[i]->start();
-  }
+  auto nodes = testing::start_on_probed_ports(
+      configs, members, [&entries](std::size_t, ClashNode& node) {
+        const auto it = entries.find(node.id());
+        if (it != entries.end()) node.install_entries(it->second);
+      });
 
   BlockingClient::Config ccfg;
   ccfg.members = members;

@@ -10,6 +10,7 @@
 #include "clash/bootstrap.hpp"
 #include "net/blocking_client.hpp"
 #include "net/node.hpp"
+#include "tests/net/probed_ports.hpp"
 
 namespace clash::net {
 namespace {
@@ -38,29 +39,16 @@ struct MemberNetCluster {
       cfg.protocol_period = std::chrono::milliseconds(20);
       configs.push_back(cfg);
     }
-    // Bind pass to learn ports, then rebuild with the full book.
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      auto probe = std::make_unique<ClashNode>(configs[i]);
-      probe->start();
-      members[ServerId{i}] = Endpoint{"127.0.0.1", probe->port()};
-      probe->stop();
-      configs[i].listen = members[ServerId{i}];
-    }
-    for (auto& cfg : configs) cfg.members = members;
-    for (const auto& cfg : configs) {
-      nodes.push_back(std::make_unique<ClashNode>(cfg));
-    }
-
     ring = std::make_unique<dht::ChordRing>(dht::ChordRing::Config{
         32, 8, dht::KeyHasher::Algo::kSha1, 77});
     for (std::size_t i = 0; i < kNodes; ++i) ring->add_server(ServerId{i});
     const auto entries =
         compute_bootstrap_entries(*ring, ring->hasher(), clash);
-    for (auto& node : nodes) {
-      const auto it = entries.find(node->id());
-      if (it != entries.end()) node->install_entries(it->second);
-      node->start();
-    }
+    nodes = testing::start_on_probed_ports(
+        configs, members, [&entries](std::size_t, ClashNode& node) {
+          const auto it = entries.find(node.id());
+          if (it != entries.end()) node.install_entries(it->second);
+        });
   }
 
   ~MemberNetCluster() {

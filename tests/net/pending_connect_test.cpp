@@ -15,6 +15,7 @@
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
 #include "net/node.hpp"
+#include "tests/net/probed_ports.hpp"
 #include "net/socket.hpp"
 
 namespace clash::net {
@@ -121,28 +122,16 @@ TEST(PendingConnect, BlackholedPeerNeverStallsTheLoop) {
   std::vector<NodeConfig> configs(2);
   for (std::size_t i = 0; i < 2; ++i) {
     configs[i].id = ServerId{i};
-    configs[i].listen = Endpoint{"127.0.0.1", 0};
-    configs[i].members[configs[i].id] = configs[i].listen;
     configs[i].clash = clash;
     configs[i].protocol_period = std::chrono::milliseconds(20);
     configs[i].connect_timeout = std::chrono::milliseconds(150);
     configs[i].load_check_interval = std::chrono::milliseconds(50);
   }
-  for (auto& cfg : configs) {
-    ClashNode probe(cfg);
-    probe.start();
-    members[cfg.id] = Endpoint{"127.0.0.1", probe.port()};
-    probe.stop();
-    cfg.listen = members[cfg.id];
-  }
   const ServerId phantom{9};
   members[phantom] = blackhole.endpoint;
-  for (auto& cfg : configs) cfg.members = members;
-
-  ClashNode a(configs[0]);
-  ClashNode b(configs[1]);
-  a.start();
-  b.start();
+  const auto nodes = testing::start_on_probed_ports(configs, members);
+  ClashNode& a = *nodes[0];
+  ClashNode& b = *nodes[1];
 
   // While connects to the phantom are pending/aborting, the loop must
   // stay responsive: every introspection round-trip finishes fast.

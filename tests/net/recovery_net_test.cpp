@@ -15,6 +15,7 @@
 #include "cq/engine_hooks.hpp"
 #include "net/blocking_client.hpp"
 #include "net/node.hpp"
+#include "tests/net/probed_ports.hpp"
 
 namespace clash::net {
 namespace {
@@ -35,8 +36,6 @@ struct RecoveryNetCluster {
     for (std::size_t i = 0; i < kNodes; ++i) {
       NodeConfig cfg;
       cfg.id = ServerId{i};
-      cfg.listen = Endpoint{"127.0.0.1", 0};
-      cfg.members[cfg.id] = cfg.listen;
       cfg.clash = clash;
       cfg.ring_salt = 77;
       cfg.load_check_interval = std::chrono::milliseconds(25);
@@ -44,26 +43,20 @@ struct RecoveryNetCluster {
       cfg.recovery_grace = std::chrono::milliseconds(60);
       configs.push_back(cfg);
     }
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      auto probe = std::make_unique<ClashNode>(configs[i]);
-      probe->start();
-      members[ServerId{i}] = Endpoint{"127.0.0.1", probe->port()};
-      probe->stop();
-      configs[i].listen = members[ServerId{i}];
-    }
-    for (auto& cfg : configs) cfg.members = members;
 
     ring = std::make_unique<dht::ChordRing>(dht::ChordRing::Config{
         32, 8, dht::KeyHasher::Algo::kSha1, 77});
     for (std::size_t i = 0; i < kNodes; ++i) ring->add_server(ServerId{i});
     const auto entries =
         compute_bootstrap_entries(*ring, ring->hasher(), clash);
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      boot(i);
-      const auto it = entries.find(nodes[i]->id());
-      if (it != entries.end()) nodes[i]->install_entries(it->second);
-      nodes[i]->start();
-    }
+    engines.resize(kNodes);
+    hooks.resize(kNodes);
+    nodes = testing::start_on_probed_ports(
+        configs, members, [&](std::size_t i, ClashNode& node) {
+          bind_hooks(i, node);
+          const auto it = entries.find(node.id());
+          if (it != entries.end()) node.install_entries(it->second);
+        });
   }
 
   ~RecoveryNetCluster() {
@@ -72,19 +65,21 @@ struct RecoveryNetCluster {
     }
   }
 
-  /// (Re)create node `i` with a fresh engine + hooks and bind them.
-  void boot(std::size_t i) {
-    engines.resize(kNodes);
-    hooks.resize(kNodes);
-    nodes.resize(kNodes);
+  /// Give node `i` a fresh engine + hooks and bind them.
+  void bind_hooks(std::size_t i, ClashNode& node) {
     engines[i] = std::make_unique<cq::StreamEngine>(kWidth);
     hooks[i] = std::make_unique<cq::EngineHooks>(*engines[i]);
-    nodes[i] = std::make_unique<ClashNode>(configs[i]);
-    (void)nodes[i]->run_on_loop([&, i](ClashServer& s) {
+    (void)node.run_on_loop([&, i](ClashServer& s) {
       hooks[i]->bind(&s);
       s.set_app_hooks(hooks[i].get());
       return true;
     });
+  }
+
+  /// Recreate node `i` (same port, same data) with fresh hooks.
+  void boot(std::size_t i) {
+    nodes[i] = std::make_unique<ClashNode>(configs[i]);
+    bind_hooks(i, *nodes[i]);
   }
 
   template <typename Pred>

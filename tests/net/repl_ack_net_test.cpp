@@ -2,7 +2,7 @@
 // positive ReplAcks for ClashServer::kAckWindow and then sends every
 // group head it owes one peer in a single frame; nacks (gap, epoch,
 // no record, snapshot chunk) still leave at once. The owner's commit
-// latency histogram and in-flight table must close exactly as they did
+// latency histogram and journal ops must close exactly as they did
 // with one ack per append, and a node stopped with acks still owed
 // must tear down cleanly (the ASan job runs this suite).
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 
 #include "clash/bootstrap.hpp"
 #include "net/node.hpp"
+#include "tests/net/probed_ports.hpp"
 
 namespace clash::net {
 namespace {
@@ -30,8 +31,8 @@ std::uint64_t commits(ClashServer& s) {
 
 std::size_t open_append_ops(ClashServer& s) {
   std::size_t n = 0;
-  for (const auto& op : s.obs_hub().inflight.snapshot()) {
-    if (op.kind == obs::OpKind::kReplAppend) ++n;
+  for (const auto& op : s.obs_hub().journal.open_ops()) {
+    if (op.kind == obs::Kind::kReplAppend) ++n;
   }
   return n;
 }
@@ -52,32 +53,22 @@ struct AckCluster {
     for (std::size_t i = 0; i < kNodes; ++i) {
       NodeConfig cfg;
       cfg.id = ServerId{i};
-      cfg.listen = Endpoint{"127.0.0.1", 0};
-      cfg.members[cfg.id] = cfg.listen;
       cfg.clash = clash;
       cfg.ring_salt = 91;
       cfg.enable_membership = false;
       cfg.load_check_interval = std::chrono::hours(1);
       configs.push_back(cfg);
     }
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      auto probe = std::make_unique<ClashNode>(configs[i]);
-      probe->start();
-      members[ServerId{i}] = Endpoint{"127.0.0.1", probe->port()};
-      probe->stop();
-      configs[i].listen = members[ServerId{i}];
-    }
-    for (auto& cfg : configs) cfg.members = members;
-
     dht::ChordRing ring(dht::ChordRing::Config{
         32, 8, dht::KeyHasher::Algo::kSha1, 91});
     for (std::size_t i = 0; i < kNodes; ++i) ring.add_server(ServerId{i});
     const auto entries = compute_bootstrap_entries(ring, ring.hasher(), clash);
+    nodes = testing::start_on_probed_ports(
+        configs, members, [&entries](std::size_t i, ClashNode& node) {
+          const auto it = entries.find(ServerId{i});
+          if (it != entries.end()) node.install_entries(it->second);
+        });
     for (std::size_t i = 0; i < kNodes; ++i) {
-      nodes.push_back(std::make_unique<ClashNode>(configs[i]));
-      const auto it = entries.find(ServerId{i});
-      if (it != entries.end()) nodes[i]->install_entries(it->second);
-      nodes[i]->start();
       owned.push_back(nodes[i]->run_on_loop([](ClashServer& s) {
         std::vector<KeyGroup> groups;
         for (const auto* e : s.table().active_entries()) {

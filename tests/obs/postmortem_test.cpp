@@ -109,8 +109,8 @@ TEST(Postmortem, DumpWritesAFileOnlyWhenADirIsSet) {
 TEST(Postmortem, HubSourceRendersFlightAndInflight) {
   Postmortem& pm = Postmortem::global();
   Hub hub;
-  hub.flight.record(FlightKind::kEpochBump, 1, 50, 7, 2);
-  (void)hub.inflight.begin(OpKind::kRecoveryPull, 1, "01*", 3, 60);
+  hub.journal.instant(Kind::kEpochBump, 1, 50, 7, 2);
+  (void)hub.journal.begin(Kind::kRecoveryPull, 1, 60, "01*", 3);
   const std::uint64_t id =
       register_hub_source(pm, hub, "node1", [] { return std::int64_t{99}; });
   const std::string doc = pm.render("probe");
@@ -132,7 +132,7 @@ TEST(Postmortem, CrashHandlerDumpsThenDiesOfTheOriginalSignal) {
     Postmortem& pm = Postmortem::global();
     pm.set_dir(dir);
     Hub hub;
-    hub.flight.record(FlightKind::kInvariantFail, 4, 123, 77);
+    hub.journal.instant(Kind::kInvariantFail, 4, 123, 77);
     register_hub_source(pm, hub, "node4", [] { return std::int64_t{200}; });
     pm.install_crash_handler();
     std::abort();

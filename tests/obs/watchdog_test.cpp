@@ -16,9 +16,9 @@
 namespace clash::obs {
 namespace {
 
-std::size_t count_kind(const FlightRecorder& fr, FlightKind kind) {
+std::size_t count_kind(const Journal& journal, Kind kind) {
   std::size_t n = 0;
-  for (const auto& ev : fr.events()) {
+  for (const auto& ev : journal.records()) {
     if (ev.kind == kind) ++n;
   }
   return n;
@@ -53,7 +53,7 @@ TEST(StallWatchdog, TickStallReportsOncePerTick) {
   // Over budget: one fresh verdict, counted and on the flight ring.
   EXPECT_EQ(wd.poll_once(1'500'000), 1u);
   EXPECT_EQ(wd.stall_ticks(), 1u);
-  EXPECT_EQ(count_kind(hub.flight, FlightKind::kStallTick), 1u);
+  EXPECT_EQ(count_kind(hub.journal, Kind::kStallTick), 1u);
   // Same wedged tick on the next poll: already reported, no re-count.
   EXPECT_EQ(wd.poll_once(2'500'000), 0u);
   EXPECT_EQ(wd.stall_ticks(), 1u);
@@ -61,7 +61,7 @@ TEST(StallWatchdog, TickStallReportsOncePerTick) {
   seq = 8;
   EXPECT_EQ(wd.poll_once(4'000'000), 1u);
   EXPECT_EQ(wd.stall_ticks(), 2u);
-  EXPECT_EQ(count_kind(hub.flight, FlightKind::kStallTick), 2u);
+  EXPECT_EQ(count_kind(hub.journal, Kind::kStallTick), 2u);
 }
 
 TEST(StallWatchdog, OpStallDedupsAndRelapses) {
@@ -69,9 +69,8 @@ TEST(StallWatchdog, OpStallDedupsAndRelapses) {
   StallWatchdog::Config cfg;
   cfg.op_stall_us = 5'000'000;
   StallWatchdog wd(cfg, hub, 2);
-  const std::uint64_t tok =
-      hub.inflight.begin(OpKind::kSnapshotIn, 2, "01", 9, /*now_us=*/0);
-  ASSERT_NE(tok, 0u);
+  Op tok = hub.journal.begin(Kind::kSnapshotIn, 2, /*now_us=*/0, "01", 9);
+  ASSERT_NE(tok.token, 0u);
 
   // Not yet past the threshold.
   EXPECT_EQ(wd.poll_once(4'000'000), 0u);
@@ -79,16 +78,16 @@ TEST(StallWatchdog, OpStallDedupsAndRelapses) {
   EXPECT_EQ(wd.poll_once(6'000'000), 1u);
   EXPECT_EQ(wd.poll_once(7'000'000), 0u);
   EXPECT_EQ(wd.stall_ops(), 1u);
-  EXPECT_EQ(count_kind(hub.flight, FlightKind::kStallOp), 1u);
+  EXPECT_EQ(count_kind(hub.journal, Kind::kStallOp), 1u);
 
   // Progress rescues the op; a later relapse re-reports.
-  hub.inflight.progress(tok, 8'000'000);
+  hub.journal.progress(tok, 8'000'000);
   EXPECT_EQ(wd.poll_once(9'000'000), 0u);
   EXPECT_EQ(wd.poll_once(14'000'000), 1u);
   EXPECT_EQ(wd.stall_ops(), 2u);
 
   // An ended op stops mattering entirely.
-  hub.inflight.end(tok);
+  hub.journal.end(tok, 30'000'000);
   EXPECT_EQ(wd.poll_once(30'000'000), 0u);
 }
 
@@ -97,7 +96,7 @@ TEST(StallWatchdog, BumpsTheStallCounters) {
   StallWatchdog::Config cfg;
   cfg.op_stall_us = 1'000;
   StallWatchdog wd(cfg, hub, 1);
-  (void)hub.inflight.begin(OpKind::kReplAppend, 1, "g", 3, 0);
+  (void)hub.journal.begin(Kind::kReplAppend, 1, 0, "g", 3);
   ASSERT_EQ(wd.poll_once(10'000), 1u);
   EXPECT_EQ(hub.registry.counter("clash_stall_ops_total").value(), 1u);
   EXPECT_EQ(hub.registry.counter("clash_stall_ticks_total").value(), 0u);
@@ -113,19 +112,19 @@ TEST(StallWatchdog, DumpHookIsRateLimited) {
   wd.set_dump_hook([&dumps](const char* reason) {
     dumps.emplace_back(reason);
   });
-  const std::uint64_t a = hub.inflight.begin(OpKind::kConnect, 1, "", 5, 0);
+  Op a = hub.journal.begin(Kind::kConnect, 1, 0, "", 5);
   ASSERT_EQ(wd.poll_once(5'000), 1u);
   ASSERT_EQ(dumps.size(), 1u);
   EXPECT_EQ(dumps[0], "stall_watchdog");
 
   // A second fresh stall inside the dump interval: counted, not dumped.
-  hub.inflight.end(a);
-  (void)hub.inflight.begin(OpKind::kConnect, 1, "", 6, 6'000);
+  hub.journal.end(a, 6'000);
+  (void)hub.journal.begin(Kind::kConnect, 1, 6'000, "", 6);
   ASSERT_EQ(wd.poll_once(20'000), 1u);
   EXPECT_EQ(dumps.size(), 1u);
 
   // Past the interval the next fresh stall dumps again.
-  (void)hub.inflight.begin(OpKind::kSnapshotOut, 1, "g", 7, 11'000'000);
+  (void)hub.journal.begin(Kind::kSnapshotOut, 1, 11'000'000, "g", 7);
   ASSERT_EQ(wd.poll_once(30'000'000), 1u);
   EXPECT_EQ(dumps.size(), 2u);
 }
