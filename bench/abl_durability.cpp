@@ -6,7 +6,8 @@
 // simulated torn WAL tail (recovers to the last complete record, then
 // the replica set streams the lost suffix), and a real kill -9 of a
 // forked writer process over storage::FileBackend (run under ASan in
-// CI).
+// CI). The writer kills itself at a fixed point in its WAL, so the
+// kill -9 line repeats exactly run to run.
 //
 // Self-gating: kWalSnapshot must recover every group of the killed
 // node from local disk with zero lost queries and strictly fewer
@@ -182,8 +183,14 @@ RunResult run_one(ClashConfig::DurabilityMode mode, std::size_t n_servers,
 
 // --- kill -9 over real files -------------------------------------------
 
-/// Child process: appends ops through a durable ClashServer until
-/// killed. Never returns.
+/// The kill point: the child dies by SIGKILL right after the append
+/// that takes its first WAL segment past this size.
+constexpr off_t kKill9WalBytes = 96 * 1024;
+
+/// Child process: appends ops through a durable ClashServer until the
+/// kill point, then kills itself with SIGKILL. The appends are seeded
+/// and the kill point is fixed, so recovery replays the same records
+/// on every run. Never returns.
 [[noreturn]] void kill9_child(const std::string& dir) {
   class NullEnv final : public ServerEnv {
    public:
@@ -214,15 +221,21 @@ RunResult run_one(ClashConfig::DurabilityMode mode, std::size_t n_servers,
   entry.active = true;
   server.install_entry(entry);
 
+  const std::string seg0 = dir + "/wal/00000000.seg";
   Rng rng(99);
-  for (std::uint64_t i = 0;; ++i) {
+  for (std::uint64_t i = 0; i < 1'000'000; ++i) {
     AcceptObject obj;
     obj.key = Key(rng.next() & 0xFFFF, 16);
     obj.kind = ObjectKind::kData;
     obj.source = ClientId{i % 512};
     obj.stream_rate = 1;
     (void)server.handle_accept_object(obj);
+    struct stat st{};
+    if (::stat(seg0.c_str(), &st) == 0 && st.st_size > kKill9WalBytes) {
+      ::raise(SIGKILL);
+    }
   }
+  ::_exit(2);  // never reached the kill point
 }
 
 struct Kill9Result {
@@ -250,24 +263,16 @@ Kill9Result run_kill9() {
   if (pid < 0) return {};
   if (pid == 0) kill9_child(dir);  // never returns
 
-  // Wait until the writer has a healthy WAL going, then kill -9 it
-  // mid-load — very likely mid-write.
-  const std::string seg0 = dir + "/wal/00000000.seg";
-  for (int spin = 0; spin < 2000; ++spin) {
-    struct stat st{};
-    if (::stat(seg0.c_str(), &st) == 0 && st.st_size > 96 * 1024) break;
-    ::usleep(2000);
-  }
-  ::kill(pid, SIGKILL);
   int status = 0;
   ::waitpid(pid, &status, 0);
+  const bool killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
 
   storage::FileBackend backend(dir);
   const auto image = storage::recover_image(backend, "wal", "snap");
   Kill9Result r;
   r.records_replayed = image.stats.records_replayed;
   r.torn_tails = image.stats.torn_tails;
-  if (image.groups.size() == 1) {
+  if (killed && image.groups.size() == 1) {
     const auto& g = image.groups.begin()->second;
     r.head_seq = g.head.seq;
     // The store must have made real progress and recovered a

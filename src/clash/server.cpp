@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/logging.hpp"
+#include "dht/chord.hpp"
 #include "storage/store.hpp"
 #include "wire/codec.hpp"
 
@@ -834,18 +835,8 @@ std::size_t ClashServer::restore_from_storage() {
     auto [it, inserted] = retired_epochs_.try_emplace(group, g.head.epoch);
     if (!inserted && it->second < g.head.epoch) it->second = g.head.epoch;
   }
+  adopt_restored_ = !image.groups.empty();
   return image.groups.size();
-}
-
-void ClashServer::adopt_bare_group(ServerTableEntry& entry) {
-  // No replica anywhere: adopt the bare group so the key space stays
-  // covered. Lineage above is unknown, so the entry becomes a root.
-  entry.root = true;
-  table_.insert(entry);
-  state_.try_emplace(entry.group);
-  note_group_activated(entry.group);
-  stats_.failovers++;
-  stats_.groups_lost++;
 }
 
 void ClashServer::init_group_log(const KeyGroup& group,
@@ -1642,6 +1633,54 @@ std::size_t ClashServer::handoff_groups(ServerId to) {
   return moving.size();
 }
 
+void ClashServer::on_ring_change(const dht::ChordRing& ring,
+                                 SimDuration grace) {
+  // Hand back before refreshing: a group about to leave needs no probe.
+  std::set<ServerId> targets;
+  for (const ServerTableEntry* e : table_.active_entries()) {
+    const ServerId to = ring.map(hasher_.hash_key(e->group.virtual_key()));
+    if (to != self_) targets.insert(to);
+  }
+  for (const ServerId to : targets) handoff_groups(to);
+  if (log_replication()) send_anti_entropy();
+
+  std::vector<KeyGroup> orphans;
+  for (const auto& [group, rec] : replicas_) {
+    if (orphaned_here(ring, group, adopt_restored_)) orphans.push_back(group);
+  }
+  adopt_restored_ = false;
+  for (const KeyGroup& group : orphans) {
+    if (!log_replication()) {
+      (void)promote_replica(group);
+      continue;
+    }
+    if (recovery_.active(group)) continue;  // its grace is already running
+    // Probe the holders now so the freshest can stream the missing
+    // suffix during the grace. An owner back on the ring, or a ring
+    // that moved the group on, cancels: promoting anyway would leave
+    // two owners, the fenced-out epoch winning.
+    begin_group_recovery(group);
+    env_.defer_after(grace, [this, &ring, group] {
+      if (orphaned_here(ring, group, /*restored=*/true)) {
+        (void)promote_replica(group);
+      } else {
+        abandon_group_recovery(group);
+      }
+    });
+  }
+}
+
+bool ClashServer::orphaned_here(const dht::ChordRing& ring,
+                                const KeyGroup& group, bool restored) const {
+  const auto it = replicas_.find(group);
+  if (it == replicas_.end() ||
+      ring.map(hasher_.hash_key(group.virtual_key())) != self_) {
+    return false;
+  }
+  const ServerId owner = it->second.owner;
+  return owner == self_ ? restored : !ring.contains(owner);
+}
+
 bool ClashServer::promote_replica(const KeyGroup& group) {
   // Stale or duplicate promotion requests must never corrupt the
   // table: refuse when any entry for (or active entry overlapping) the
@@ -1665,8 +1704,8 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
   // installing anything: a replica that lags the highest advertised
   // head is repaired (or superseded by a fresher peer), never silently
   // promoted. Synchronous transports complete the repair inside
-  // begin_group_recovery; the TCP layer opened the session during its
-  // recovery-grace window. A durable-only node (factor 0) opens no
+  // begin_group_recovery; on TCP, on_ring_change opened the session
+  // when its grace began. A durable-only node (factor 0) opens no
   // session: its record is its own disk image (restore_from_storage).
   begin_group_recovery(group);
 
@@ -1676,15 +1715,15 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
   ServerTableEntry entry;
   entry.group = group;
   entry.active = true;
+  entry.root = !recovered || it->second.root;  // no replica: lineage unknown
+  if (recovered) entry.parent = it->second.parent;
+  table_.insert(entry);
   repl::LogHead head;
   repl::LogHead advertised;
   if (recovered) {
     ReplicaRecord& rec = it->second;
     head = rec.log.head();
     advertised = rec.advertised;
-    entry.root = rec.root;
-    entry.parent = rec.parent;
-    table_.insert(entry);
     state_[group] = std::move(rec.state);
     if (app_hooks_ != nullptr) {
       if (!rec.app_snapshot.empty()) {
@@ -1693,11 +1732,14 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
       for (const auto& d : rec.app_tail) app_hooks_->apply_delta(group, d);
     }
     erase_replica(it);
-    note_group_activated(group);
-    stats_.failovers++;
   } else {
-    adopt_bare_group(entry);
+    // No replica anywhere: adopt the bare group so the key space stays
+    // covered.
+    state_.try_emplace(group);
+    stats_.groups_lost++;
   }
+  note_group_activated(group);
+  stats_.failovers++;
   recovery_.finish(group, head, advertised);
   if (const auto rs = recovery_ops_.find(group); rs != recovery_ops_.end()) {
     failover_us_.record_signed(env_.now().usec - rs->second.start_us);

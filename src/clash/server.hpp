@@ -27,6 +27,10 @@
 #include "repl/log.hpp"
 #include "repl/recovery.hpp"
 
+namespace clash::dht {
+class ChordRing;
+}  // namespace clash::dht
+
 namespace clash::storage {
 class NodeStore;
 }  // namespace clash::storage
@@ -228,13 +232,21 @@ class ClashServer {
   bool signal_overload();
 
   // --- Fault tolerance (replication extension) ------------------------
-  /// Promote this server's replica of `group` to active ownership
-  /// (called by the failover coordinator after the previous owner
-  /// died and the DHT now maps the group here, or by a restarted node
-  /// re-adopting its own disk image). Pulls the freshest suffix from
-  /// the surviving holders, then installs under a bumped epoch. Falls
-  /// back to an empty root entry when no replica exists; returns
-  /// whether state was recovered.
+  /// The one ring-change rule, called by every transport after it
+  /// edits `ring` and after restore_from_storage (README "Membership &
+  /// failover"). Hands each active group `ring` maps elsewhere to its
+  /// owner (handoff_groups), probes every active group's current
+  /// replica set (send_anti_entropy), and promotes each replica record
+  /// `ring` maps here whose owner is off the ring (or, right after a
+  /// restore, is this server) once `grace` has passed and that still
+  /// holds (ServerEnv::defer_after). Reads `ring` with map/contains
+  /// only (no hops counted); it must outlive a running grace.
+  void on_ring_change(const dht::ChordRing& ring, SimDuration grace);
+
+  /// Promote this server's replica of `group` to active ownership.
+  /// Pulls the freshest suffix from the surviving holders, then
+  /// installs under a bumped epoch. Falls back to an empty root entry
+  /// when no replica exists; returns whether state was recovered.
   bool promote_replica(const KeyGroup& group);
 
   // --- Replication & recovery subsystem (src/repl/) -------------------
@@ -261,24 +273,6 @@ class ClashServer {
   bool append_app_delta(const KeyGroup& group,
                         std::vector<std::uint8_t> delta);
 
-  /// Open a recovery session for a group this server is about to be
-  /// promoted for: probes the surviving replica set for fresher
-  /// (epoch, seq) heads so peers can stream the missing suffix before
-  /// promote_replica installs. Synchronous transports finish the
-  /// repair inside this call; the TCP layer holds a grace window.
-  void begin_group_recovery(const KeyGroup& group);
-
-  /// Drop an open recovery session without promoting (the grace-window
-  /// re-check failed: the member rejoined or the ring moved the heir,
-  /// or the group became active some other way).
-  void abandon_group_recovery(const KeyGroup& group) {
-    recovery_.cancel(group);
-    if (const auto it = recovery_ops_.find(group); it != recovery_ops_.end()) {
-      hub_.journal.abort(it->second, env_.now().usec);
-      recovery_ops_.erase(it);
-    }
-  }
-
   /// Hand every active group whose DHT owner is now `to` over to it
   /// with full state (ring re-admission healed the routing — without
   /// this, a rejoined node would serve its key ranges empty). Returns
@@ -300,10 +294,10 @@ class ClashServer {
   [[nodiscard]] bool durable() const;
 
   /// Install the store's recovered pre-crash image as replica records
-  /// (owner = self). Promotion then re-adopts each group under a
-  /// bumped epoch, and the recovery pull fetches only the divergent
-  /// suffix from live holders — not a full snapshot. Returns the
-  /// number of groups restored.
+  /// (owner = self). The next on_ring_change re-adopts each one the
+  /// ring maps here under a bumped epoch, and the recovery pull fetches
+  /// only the divergent suffix from live holders — not a full
+  /// snapshot. Returns the number of groups restored.
   std::size_t restore_from_storage();
 
   /// Resume snapshot transfers that paused on transport backpressure:
@@ -322,9 +316,7 @@ class ClashServer {
   [[nodiscard]] bool has_replica(const KeyGroup& group) const {
     return replicas_.count(group) > 0;
   }
-  /// Groups this server holds replicas of on behalf of `owner` — the
-  /// candidates for promotion when the membership layer declares the
-  /// owner dead.
+  /// Groups this server holds replicas of on behalf of `owner`.
   [[nodiscard]] std::vector<KeyGroup> replicas_owned_by(ServerId owner) const {
     std::vector<KeyGroup> out;
     for (const auto& [group, rec] : replicas_) {
@@ -369,6 +361,25 @@ class ClashServer {
     bool is_leaf = false;
     SimTime at{0};
   };
+
+  /// on_ring_change's promotion test: a replica record of `group` that
+  /// `ring` maps here, whose owner is off the ring (or is this server
+  /// when `restored`).
+  [[nodiscard]] bool orphaned_here(const dht::ChordRing& ring,
+                                   const KeyGroup& group,
+                                   bool restored) const;
+  /// Open a recovery session for a group about to be promoted here:
+  /// probes the replica set for fresher (epoch, seq) heads so peers can
+  /// stream the missing suffix before promote_replica installs.
+  void begin_group_recovery(const KeyGroup& group);
+  /// Drop an open recovery session without promoting.
+  void abandon_group_recovery(const KeyGroup& group) {
+    recovery_.cancel(group);
+    if (const auto it = recovery_ops_.find(group); it != recovery_ops_.end()) {
+      hub_.journal.abort(it->second, env_.now().usec);
+      recovery_ops_.erase(it);
+    }
+  }
 
   void handle_accept_keygroup(ServerId from, const AcceptKeyGroup& m);
   void handle_load_report(ServerId from, const LoadReport& m);
@@ -434,9 +445,6 @@ class ClashServer {
   // --- Replication-log internals (src/repl/) ---------------------------
   /// The ring successors holding `group`'s replicas.
   [[nodiscard]] std::vector<ServerId> replica_set(const KeyGroup& group);
-  /// Failover found no replica: install an empty root entry so the key
-  /// space stays covered (shared by both promotion modes).
-  void adopt_bare_group(ServerTableEntry& entry);
   /// Append one op to an active group's log and queue it for the
   /// replica set (no-op unless the log engine is on). Ops queued
   /// during one dispatch tick coalesce into a single ReplAppend frame
@@ -581,6 +589,9 @@ class ClashServer {
   /// never dominate the new line.
   std::map<KeyGroup, std::uint64_t> retired_epochs_;
   repl::RecoveryCoordinator recovery_;
+  /// Set by restore_from_storage: the next on_ring_change also
+  /// re-adopts the records it restored (owner = this server).
+  bool adopt_restored_ = false;
   /// Replica-lease clock: the GC lease floors at the slowest observed
   /// gap between run_load_check calls (the real refresh cadence).
   SimTime last_load_check_{-1};

@@ -403,45 +403,14 @@ void ClashNode::recover_from_storage() {
   if (restored == 0) return;
   CLASH_INFO << to_string(config_.id) << ": restored " << restored
              << " group(s) from " << config_.storage_dir;
-  // Re-adopt every recovered group the (seed) ring maps here. A
-  // replicated node mirrors a failover heir: the recovery session
-  // opens now (the anti-entropy probes go out as peer connections come
-  // up) and promotion waits out the grace window, so a fresher holder
-  // can stream the suffix the disk lost — a torn WAL tail costs a few
-  // ops over the wire, never a full snapshot. A durable-only node has
-  // no holder to ask and re-adopts at once.
-  for (const KeyGroup& group : server_->replicas_owned_by(config_.id)) {
-    if (!maps_here(group)) {
-      continue;  // the ring moved on; anti-entropy reclaims or GCs it
-    }
-    if (server_->log_replication()) {
-      promote_after_grace(group, ServerId{});
-    } else {
-      (void)server_->promote_replica(group);
-    }
-  }
+  // Re-adopt what the (seed) ring maps here the way a failover heir
+  // does: a torn WAL tail costs a few ops pulled over the wire during
+  // the grace, never a full snapshot.
+  apply_ring_change();
 }
 
-bool ClashNode::maps_here(const KeyGroup& group) const {
-  return ring_->map(ring_->hasher().hash_key(group.virtual_key())) ==
-         config_.id;
-}
-
-void ClashNode::promote_after_grace(const KeyGroup& group, ServerId dead) {
-  server_->begin_group_recovery(group);
-  loop_->call_after(config_.recovery_grace, [this, dead, group] {
-    on_loop_.assert_held();
-    // Re-validate after the grace window: a dead owner's death may
-    // have been refuted (member back on the ring — it was handed its
-    // groups) or the ring may have shifted the group to another heir.
-    // Promoting anyway would create dual ownership with the fenced-out
-    // epoch winning over the legitimate line.
-    if ((dead.valid() && ring_->contains(dead)) || !maps_here(group)) {
-      server_->abandon_group_recovery(group);
-      return;
-    }
-    (void)server_->promote_replica(group);
-  });
+void ClashNode::apply_ring_change() {
+  server_->on_ring_change(*ring_, SimDuration{config_.recovery_grace.count()});
 }
 
 void ClashNode::on_member_dead(ServerId id) {
@@ -455,16 +424,7 @@ void ClashNode::on_member_dead(ServerId id) {
   ring_->remove_server(id);
   peers_.erase(id);
   drop_pending_connect(id, "member died");
-  // Automatic failover: any group the dead owner replicated here that
-  // the shrunken ring now maps to this node gets promoted. Peers do the
-  // same for their own replicas, so the dead node's groups come back on
-  // exactly their new DHT owners. The promotion waits out a
-  // recovery-grace window first: the heir probes the surviving holders
-  // with its (epoch, seq) head and lets the freshest one stream the
-  // missing suffix before anything is installed.
-  for (const KeyGroup& group : server_->replicas_owned_by(id)) {
-    if (maps_here(group)) promote_after_grace(group, id);
-  }
+  apply_ring_change();
 }
 
 void ClashNode::on_member_joined(ServerId id) {
@@ -475,16 +435,7 @@ void ClashNode::on_member_joined(ServerId id) {
                        std::uint32_t(config_.id.value), node_now_us(),
                        id.value);
   ring_->add_server(id);
-  // Rejoin-gap fix: a restarted node comes back empty, yet the grown
-  // ring routes its old key ranges to it again. Hand every active
-  // group the ring now maps to the rejoined member back to it with
-  // full state (and the log epoch, so its new line supersedes ours) —
-  // it must not serve those groups empty.
-  const std::size_t moved = server_->handoff_groups(id);
-  if (moved > 0) {
-    CLASH_INFO << to_string(config_.id) << ": handed " << moved
-               << " group(s) back to rejoined " << to_string(id);
-  }
+  apply_ring_change();
 }
 
 void ClashNode::set_link_fault(ServerId peer, FaultInjector::Config cfg) {

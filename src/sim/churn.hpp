@@ -8,11 +8,14 @@
 //   kill(x)              -> crash_server: messages to x drop
 //   survivors suspect,   (randomized ping + ping-req + suspicion
 //   then declare dead     timeout, disseminated by gossip)
-//   all survivors agree  -> evict_server: ring shrinks, heirs promote
-//                           their replicas (automatic failover)
+//   all survivors agree  -> evict_server: ring shrinks; every live
+//                           server runs ClashServer::on_ring_change,
+//                           so heirs promote their replicas (automatic
+//                           failover) and owners refresh replica sets
 //   revive(x)            -> restart_server + fresh driver; x refutes
 //                           the death rumour with a bumped incarnation
-//   all survivors agree  -> join_server: ring grows again
+//   all survivors agree  -> join_server: ring grows again; the same
+//                           rule hands x its key ranges back
 #pragma once
 
 #include <map>

@@ -293,37 +293,47 @@ std::size_t SimCluster::evict_server(ServerId id) {
     crash_time_[id.value] = SimTime{-1};
   }
   ring_.remove_server(id);
-
-  // The groups the dead server actively owned, per the owner index.
-  std::vector<KeyGroup> lost;
-  for (const auto& [group, owner] : owners_) {
-    if (owner == id) lost.push_back(group);
-  }
-  for (const auto& group : lost) owners_.erase(group);
-
-  std::size_t recovered = fail_groups_over(lost);
-  recovered += retry_pending_failovers();
-  return recovered;
+  return apply_ring_change();
 }
 
-std::size_t SimCluster::fail_groups_over(const std::vector<KeyGroup>& lost) {
-  std::size_t recovered = 0;
-  for (const auto& group : lost) {
+std::size_t SimCluster::apply_ring_change() {
+  const MessageStats before = total_stats();
+  for (auto& srv : servers_) {
+    if (is_alive(srv->id())) srv->on_ring_change(ring_, SimDuration{0});
+  }
+  cover_orphans();
+  const MessageStats delta = total_stats() - before;
+  return std::size_t(delta.failovers - delta.groups_lost);
+}
+
+void SimCluster::cover_orphans() {
+  // Never promotes a group some live server holds a replica of, except
+  // in place on a restarted owner.
+  std::vector<std::pair<KeyGroup, ServerId>> orphans;
+  for (const auto& [group, owner] : owners_) {
     const ServerId heir = ring_.map(hasher().hash_key(group.virtual_key()));
-    if (!heir.valid() || !is_alive(heir)) {
-      // The heir is dead too (crashed but not yet evicted): park the
-      // group; once the heir is evicted the ring maps it elsewhere.
-      pending_failover_.push_back(group);
+    if (!is_alive(heir)) continue;  // its eviction re-runs this check
+    if (heir == owner) {
+      // Restarted before its eviction: a non-durable process (or a
+      // group its disk did not keep) pulls the group back from the
+      // replica set in place.
+      const ServerTableEntry* entry = server(owner).table().find(group);
+      if (entry == nullptr || !entry->active) orphans.emplace_back(group, heir);
       continue;
     }
-    recovered += server(heir).promote_replica(group) ? 1 : 0;
+    // An evicted owner's group no live server holds a replica of
+    // (factor 0, or every holder died too): a bare root at the heir
+    // keeps the key range covered.
+    if (ring_.contains(owner)) continue;
+    const bool held = std::any_of(
+        servers_.begin(), servers_.end(), [&](const auto& srv) {
+          return is_alive(srv->id()) && srv->has_replica(group);
+        });
+    if (!held) orphans.emplace_back(group, heir);
   }
-  return recovered;
-}
-
-std::size_t SimCluster::retry_pending_failovers() {
-  const auto pending = std::exchange(pending_failover_, {});
-  return fail_groups_over(pending);
+  for (const auto& [group, heir] : orphans) {
+    (void)server(heir).promote_replica(group);
+  }
 }
 
 void SimCluster::set_node_slow(ServerId id, double factor) {
@@ -340,14 +350,7 @@ void SimCluster::restart_server(ServerId id) {
   alive_[id.value] = true;
   crash_time_[id.value] = SimTime{-1};  // restart without eviction
   set_node_slow(id, 1.0);  // replacement hardware: slowness dies with it
-  // The restarted process lost all protocol state: fresh server, and
-  // any groups still indexed to it fail over like an eviction (usually
-  // none — eviction normally precedes a restart).
-  std::vector<KeyGroup> stale;
-  for (const auto& [group, owner] : owners_) {
-    if (owner == id) stale.push_back(group);
-  }
-  for (const auto& group : stale) owners_.erase(group);
+  // The restarted process lost all protocol state: fresh server.
   servers_[id.value] = std::make_unique<ClashServer>(
       id, config_.clash, *server_envs_[id.value], ring_.hasher());
   if (id.value < backends_.size()) {
@@ -359,35 +362,18 @@ void SimCluster::restart_server(ServerId id) {
     servers_[id.value]->set_storage(stores_[id.value].get());
     servers_[id.value]->restore_from_storage();
   }
-  // Groups the index still maps here (no eviction happened) that the
-  // disk recovered are re-adopted in place: promotion bumps the epoch
-  // and, when replicated, the recovery pull fetches only the suffix the
-  // disk lost from the replica set — the network never carries the
-  // full state. Everything else fails over as before.
-  std::vector<KeyGroup> lost;
-  for (const auto& group : stale) {
-    if (servers_[id.value]->has_replica(group)) {
-      (void)servers_[id.value]->promote_replica(group);
-    } else {
-      lost.push_back(group);
-    }
-  }
-  fail_groups_over(lost);
-  retry_pending_failovers();
+  // The ring did not change: only the restarted server runs the rule,
+  // as in ClashNode::recover_from_storage. Still on the ring (not yet
+  // evicted), it re-adopts what its disk kept; the recovery pull
+  // fetches only the suffix the disk lost.
+  server(id).on_ring_change(ring_, SimDuration{0});
+  cover_orphans();
 }
 
 void SimCluster::join_server(ServerId id) {
   if (!is_alive(id) || ring_.contains(id)) return;
   ring_.add_server(id);
-  retry_pending_failovers();
-  // Heal the routing: every group the grown ring now maps to the
-  // rejoined server is handed back with full state (log epoch included)
-  // by its current owner. Without this the rejoined node would answer
-  // for its key ranges with empty state.
-  for (auto& srv : servers_) {
-    if (srv->id() == id || !is_alive(srv->id())) continue;
-    srv->handoff_groups(id);
-  }
+  apply_ring_change();
 }
 
 void SimCluster::revive_server(ServerId id) {

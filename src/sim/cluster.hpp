@@ -166,18 +166,18 @@ class SimCluster {
   void crash_server(ServerId id);
 
   /// The survivors gave up on a crashed server: remove it from the
-  /// ring and fail every group it actively owned over to the DHT's new
-  /// owner, which promotes its replica (or adopts an empty root when
-  /// none exists). Groups whose new owner is itself dead are parked and
-  /// retried after later evictions. Returns groups recovered with state.
+  /// ring and run ClashServer::on_ring_change on every live server, so
+  /// each heir promotes the replicas the shrunken ring maps to it.
+  /// Returns groups recovered with state.
   std::size_t evict_server(ServerId id);
 
-  /// The process restarts empty (state lost) and is alive again; any
-  /// groups still indexed to it fail over as in evict_server. Does not
-  /// touch the ring — join_server does, once the survivors agree.
+  /// The process restarts (protocol state lost; a durable store
+  /// restores its image) and is alive again. Does not touch the ring —
+  /// join_server does, once the survivors agree.
   void restart_server(ServerId id);
 
-  /// Re-admit a restarted server to the ring.
+  /// Re-admit a restarted server to the ring and run the rule on every
+  /// live server: current owners hand its key ranges back.
   void join_server(ServerId id);
 
   /// Oracle-style rejoin: restart_server + join_server.
@@ -231,10 +231,12 @@ class SimCluster {
 
   void count_message(const Message& msg);
 
-  /// Promote `lost` groups at their current DHT owners; dead owners
-  /// park the group in pending_failover_ for a later retry.
-  std::size_t fail_groups_over(const std::vector<KeyGroup>& lost);
-  std::size_t retry_pending_failovers();
+  /// Run ClashServer::on_ring_change on every live server, then
+  /// cover_orphans. Returns the groups recovered with state.
+  std::size_t apply_ring_change();
+  /// Sim-only coverage backstop over the owner index, for what no TCP
+  /// node does today (README "Membership & failover").
+  void cover_orphans();
 
   Config config_;
   dht::ChordRing ring_;
@@ -246,7 +248,6 @@ class SimCluster {
   std::deque<ClientEnvImpl> client_envs_;  // stable addresses
   std::unordered_map<std::uint64_t, std::size_t> client_env_by_origin_;
   std::unordered_map<KeyGroup, ServerId> owners_;
-  std::vector<KeyGroup> pending_failover_;  // heir was dead at eviction
   std::vector<bool> alive_;
   std::vector<double> node_slow_;  // fail-slow factor per node (1 = ok)
   std::size_t slow_nodes_ = 0;     // count of factors > 1

@@ -200,6 +200,47 @@ TEST(ReplicaLifecycle, BackToBackOwnerDeathsWithinOnePeriod) {
   EXPECT_EQ(cluster.check_invariants(), std::nullopt);
 }
 
+TEST(ReplicaLifecycle, HoldersEvictedBeforeTheirOwnerAreReplacedAtOnce) {
+  // Every eviction runs the ring-change rule on the survivors, and its
+  // refresh step probes each active group's current replica set: the
+  // owner re-replicates to the successors that replace its dead
+  // holders at once. With no load check in between, the owner's own
+  // death right after must still find a holder.
+  sim::SimCluster cluster(replicated_config(2));
+  cluster.bootstrap();
+  ClashClient client(cluster.clash_config(), cluster.client_env(ServerId{0}),
+                     cluster.hasher());
+  const Key key(0b0101000000, 10);
+  testing::add_stream(cluster, client, ClientId{50}, key, 2.0);
+  cluster.set_now(SimTime::from_minutes(5));
+  cluster.run_all_load_checks();
+
+  const KeyGroup group = cluster.find_active_group(key).value();
+  const ServerId owner = *cluster.find_owner(key);
+  std::vector<ServerId> holders;
+  for (std::size_t i = 0; i < 16; ++i) {
+    if (cluster.server(ServerId{i}).has_replica(group)) {
+      holders.push_back(ServerId{i});
+    }
+  }
+  ASSERT_EQ(holders.size(), 2u);
+  for (const ServerId holder : holders) {
+    cluster.crash_server(holder);
+    cluster.evict_server(holder);
+  }
+  cluster.crash_server(owner);
+  cluster.evict_server(owner);
+
+  EXPECT_EQ(cluster.total_stats().groups_lost, 0u);
+  const auto heir = cluster.find_owner(key);
+  ASSERT_TRUE(heir.has_value());
+  ASSERT_TRUE(cluster.is_alive(*heir));
+  const GroupState* state = cluster.server(*heir).group_state(group);
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->streams.count(ClientId{50}), 1u);
+  EXPECT_EQ(cluster.check_invariants(), std::nullopt);
+}
+
 TEST(ReplicaLifecycle, EmptyRootFallbackWithoutReplicas) {
   sim::SimCluster cluster(replicated_config(0));
   cluster.bootstrap();

@@ -4,10 +4,12 @@
 // missing log suffix, and matches keep firing on the promoted node's
 // stream engine. A stopped node restarted in place is re-admitted via
 // incarnation refutation and receives its groups back with state
-// (the rejoin-gap fix) instead of serving them empty.
+// (the rejoin-gap fix) instead of serving them empty. When the heir
+// dies inside its grace window, the next holder takes the group over.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -25,7 +27,12 @@ constexpr unsigned kInitialDepth = 3;
 constexpr std::size_t kNodes = 4;
 
 struct RecoveryNetCluster {
-  RecoveryNetCluster() {
+  /// Edits the node configs before any node starts; `ring` is the
+  /// cluster's own seed ring.
+  using Tune = std::function<void(const dht::ChordRing& ring,
+                                  std::vector<NodeConfig>& configs)>;
+
+  explicit RecoveryNetCluster(const Tune& tune = nullptr) {
     ClashConfig clash;
     clash.key_width = kWidth;
     clash.initial_depth = kInitialDepth;
@@ -47,6 +54,7 @@ struct RecoveryNetCluster {
     ring = std::make_unique<dht::ChordRing>(dht::ChordRing::Config{
         32, 8, dht::KeyHasher::Algo::kSha1, 77});
     for (std::size_t i = 0; i < kNodes; ++i) ring->add_server(ServerId{i});
+    if (tune) tune(*ring, configs);
     const auto entries =
         compute_bootstrap_entries(*ring, ring->hasher(), clash);
     engines.resize(kNodes);
@@ -182,6 +190,87 @@ TEST(RecoveryNet, QueriesSurviveOwnerDeathAndKeepFiring) {
         [](ClashServer& s) { return s.stats().groups_lost; });
   }
   EXPECT_EQ(lost, 0u);
+}
+
+TEST(RecoveryNet, ThirdHolderTakesOverWhenTheHeirDiesInItsGrace) {
+  // The owner dies and the survivors declare it dead; its heir opens a
+  // long recovery grace. The heir dies before that grace ends, while
+  // the survivors' rings still route the group to it. Once they
+  // declare the heir dead too, the third holder, whose replica record
+  // still names the first dead owner, must take the group over.
+  const KeyGroup group = KeyGroup::of(Key(0x9abc, kWidth), kInitialDepth);
+  ServerId owner;
+  ServerId heir;
+  ServerId third;
+  RecoveryNetCluster cluster(
+      [&](const dht::ChordRing& ring, std::vector<NodeConfig>& configs) {
+        const auto set =
+            ring.successors(ring.hasher().hash_key(group.virtual_key()), 3);
+        owner = set[0];
+        heir = set[1];
+        third = set[2];
+        configs[heir.value].recovery_grace = std::chrono::seconds(30);
+      });
+
+  BlockingClient::Config ccfg;
+  ccfg.members = cluster.configs[0].members;
+  ccfg.ring_salt = 77;
+  BlockingClient env(ccfg);
+  ClashClient client(cluster.configs[0].clash, env, env.hasher());
+  constexpr std::size_t kQueries = 6;
+  std::vector<Key> keys;
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    AcceptObject obj;
+    obj.key = Key(group.virtual_key().value() | ((0x0357 * (i + 1)) & 0x1FFF),
+                  kWidth);
+    ASSERT_TRUE(group.contains(obj.key));
+    obj.kind = ObjectKind::kQuery;
+    obj.query_id = QueryId{i};
+    ASSERT_TRUE(client.insert(obj).ok);
+    keys.push_back(obj.key);
+    ASSERT_EQ(cluster.owner_of(obj.key), owner.value);
+    const bool registered =
+        cluster.nodes[owner.value]->run_on_loop([&](ClashServer&) {
+          cq::ContinuousQuery q;
+          q.id = QueryId{i};
+          q.scope = KeyGroup::of(obj.key, kWidth);
+          return cluster.hooks[owner.value]->register_query(q);
+        });
+    ASSERT_TRUE(registered) << "query " << i;
+  }
+  // Let appends/snapshots reach the replica set.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  for (const ServerId holder : {heir, third}) {
+    ASSERT_TRUE(cluster.nodes[holder.value]->run_on_loop(
+        [&](ClashServer& s) { return s.has_replica(group); }))
+        << "no replica on " << to_string(holder);
+  }
+
+  cluster.nodes[owner.value]->stop();
+  ASSERT_TRUE(cluster.eventually([&] {
+    for (auto& node : cluster.nodes) {
+      if (node->id() == owner) continue;
+      if (node->member_state(owner) != MemberState::kDead) return false;
+    }
+    return true;
+  })) << "survivors never declared the owner dead";
+  // The heir is inside its 30 s grace: it has not promoted yet.
+  ASSERT_EQ(cluster.owner_of(keys[0], owner.value), SIZE_MAX);
+  cluster.nodes[heir.value]->stop();
+
+  const bool taken_over = cluster.eventually([&] {
+    if (cluster.owner_of(keys[0]) != third.value) return false;
+    return cluster.nodes[third.value]->run_on_loop([&](ClashServer& s) {
+      const GroupState* st = s.group_state(group);
+      return st != nullptr && st->queries.size() == kQueries;
+    });
+  });
+  ASSERT_TRUE(taken_over) << "the third holder never took the group over";
+  EXPECT_GT(cluster.fire(third.value, keys[0]), 0u)
+      << "the third holder lost the app query state";
+  EXPECT_EQ(cluster.nodes[third.value]->run_on_loop(
+                [](ClashServer& s) { return s.stats().groups_lost; }),
+            0u);
 }
 
 TEST(RecoveryNet, RestartedNodeIsHandedItsGroupsBackWithState) {
