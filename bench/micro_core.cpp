@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot code paths: key ops,
-// ServerTable lookups, hashing, Chord routing, client resolution, and
-// split/merge cost.
+// ServerTable lookups, hashing, Chord routing, client resolution,
+// split/merge cost, and the wire codec.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -11,6 +11,7 @@
 #include "common/sha1.hpp"
 #include "dht/chord.hpp"
 #include "sim/cluster.hpp"
+#include "wire/codec.hpp"
 
 using namespace clash;
 
@@ -164,6 +165,95 @@ void BM_SplitMergeCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SplitMergeCycle);
+
+/// One value of every Message alternative (the codec fuzz corpus's).
+std::vector<Message> representative_messages() {
+  const KeyGroup g = KeyGroup::parse("0110*", 24).value();
+  const repl::LogHead head{7, 123};
+  const StreamInfo stream{ClientId{9}, Key(0x601234, 24), 2.5};
+  const QueryInfo query{QueryId{44}, Key(0x60AAAA, 24)};
+  std::vector<Message> all;
+  all.emplace_back(AcceptObject{Key(0xABCDEF, 24), 9, ObjectKind::kQuery,
+                                QueryId{424242}, 2.5, ClientId{99}, false,
+                                0xFEEDFACE12345678ULL});
+  all.emplace_back(AcceptObjectOk{5});
+  all.emplace_back(IncorrectDepth{4});
+  all.emplace_back(
+      AcceptKeyGroup{g, ServerId{7}, true, 17, {stream}, {query}, {}});
+  all.emplace_back(AcceptKeyGroupAck{g});
+  all.emplace_back(LoadReport{g, 123.5, true});
+  all.emplace_back(ReclaimKeyGroup{g});
+  all.emplace_back(ReclaimAck{g, {stream}, {}, {}});
+  all.emplace_back(ReclaimRefused{g});
+  all.emplace_back(DropReplica{g});
+  NodeCensusRecord rec;
+  rec.node = ServerId{4};
+  rec.load = 77.5;
+  rec.top_groups.push_back({g, GroupCost{1, 2, 3, 4, 5}});
+  all.emplace_back(Gossip{GossipKind::kPing,
+                          41,
+                          ServerId{6},
+                          {{ServerId{2}, MemberState::kSuspect, 3},
+                           {ServerId{4}, MemberState::kDead, 9}},
+                          {rec},
+                          0});
+  all.emplace_back(ReplAppend{g,
+                              ServerId{3},
+                              5,
+                              41,
+                              0xABCDEF99ULL,
+                              {repl::LogOp::put_stream(stream),
+                               repl::LogOp::put_query(query),
+                               repl::LogOp::app_delta_op({1, 2, 3, 4})},
+                              0});
+  all.emplace_back(ReplAck{{GroupHead{g, head}}, true});
+  all.emplace_back(
+      SnapshotOffer{g, ServerId{2}, head, true, ServerId{6}, 3, 0x1111});
+  all.emplace_back(SnapshotChunk{
+      g, head, 1, 3, 0x1111, {stream}, {query}, {9, 8, 7}, {{1}, {2, 3}}, 0});
+  all.emplace_back(AntiEntropyProbe{ServerId{2}, {GroupHead{g, head}}});
+  all.emplace_back(AntiEntropyDiff{{GroupHead{g, repl::LogHead{}}}});
+  return all;
+}
+
+// Encode every representative message once per iteration (into a
+// pooled Writer, as a TCP send does).
+void BM_CodecEncode(benchmark::State& state) {
+  const auto all = representative_messages();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    for (const auto& msg : all) {
+      wire::Writer w;
+      wire::encode_message(w, msg);
+      bytes += w.size();
+      benchmark::DoNotOptimize(w.data().data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations() * all.size()));
+  state.SetBytesProcessed(std::int64_t(bytes));
+}
+BENCHMARK(BM_CodecEncode);
+
+void BM_CodecDecode(benchmark::State& state) {
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::size_t total = 0;
+  for (const auto& msg : representative_messages()) {
+    wire::Writer w;
+    wire::encode_message(w, msg);
+    payloads.push_back(w.take());
+    total += payloads.back().size();
+  }
+  for (auto _ : state) {
+    for (const auto& p : payloads) {
+      auto decoded = wire::decode_message(p);
+      benchmark::DoNotOptimize(decoded);
+    }
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations() * payloads.size()));
+  state.SetBytesProcessed(std::int64_t(state.iterations() * total));
+}
+BENCHMARK(BM_CodecDecode);
 
 }  // namespace
 

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Every wire MsgType enumerator must be dispatched and fuzz-covered.
+"""Every wire MsgType enumerator must be registered and fuzz-covered.
 
-A new wire message that encodes but never decodes (or vice versa) is a
-silent protocol hole; one that decodes but is never fuzzed is a crash
-waiting for the corrupt fault mode. This check parses the MsgType enum
-from src/wire/codec.hpp and requires each enumerator to
+encode_message and decode_message both dispatch through one type table
+in src/wire/codec.cpp (`kWireTypes`, one MsgType per Message
+alternative), and each message has one field list that drives both
+directions; a static_assert there ties the table to the Message
+variant. An enumerator missing from the table is a type the codec can
+neither send nor receive; one that decodes but is never fuzzed is a
+crash waiting for the corrupt fault mode. This check parses the MsgType
+enum from src/wire/codec.hpp and requires each enumerator to
 
-  1. appear at least twice in src/wire/codec.cpp — once on the encode
-     side (`w.u8(std::uint8_t(MsgType::kX))`) and once in the decode
-     dispatch (`case MsgType::kX:`), and
+  1. be registered in the type table (`MsgType::kX` inside the
+     `kWireTypes` initializer in src/wire/codec.cpp), and
   2. have its payload struct (the enumerator name minus the leading
      `k`) exercised in tests/wire/codec_fuzz_test.cpp's representative
      corpus.
@@ -21,7 +24,8 @@ import sys
 ENUM_RE = re.compile(
     r"enum\s+class\s+MsgType[^{]*\{(?P<body>.*?)\}", re.DOTALL
 )
-ENUMERATOR_RE = re.compile(r"^\s*(k\w+)\s*=", re.MULTILINE)
+ENUMERATOR_RE = re.compile(r"(?:^|,)\s*(k\w+)\s*=", re.MULTILINE)
+TABLE_RE = re.compile(r"kWireTypes\[\]\s*=\s*\{(?P<body>.*?)\}", re.DOTALL)
 
 
 def parse_enumerators(codec_hpp: str) -> list[str]:
@@ -36,14 +40,14 @@ def check(codec_hpp: str, codec_cpp: str, fuzz_cpp: str) -> list[str]:
     enumerators = parse_enumerators(codec_hpp)
     if not enumerators:
         return ["no MsgType enumerators parsed from codec.hpp"]
+    table = TABLE_RE.search(codec_cpp)
+    if table is None:
+        return ["type table kWireTypes not found in codec.cpp"]
     for name in enumerators:
-        dispatch_uses = len(
-            re.findall(rf"MsgType::{name}\b", codec_cpp)
-        )
-        if dispatch_uses < 2:
+        if not re.search(rf"MsgType::{name}\b", table.group("body")):
             violations.append(
-                f"MsgType::{name}: {dispatch_uses} use(s) in codec.cpp "
-                f"(need encode + decode dispatch)"
+                f"MsgType::{name}: not registered in codec.cpp's type "
+                f"table (kWireTypes)"
             )
         struct_name = name[1:]  # kAcceptObject -> AcceptObject
         if not re.search(rf"\b{struct_name}\b", fuzz_cpp):
@@ -57,7 +61,7 @@ def check(codec_hpp: str, codec_cpp: str, fuzz_cpp: str) -> list[str]:
 
 def selftest() -> int:
     """Seed an unregistered enumerator; the check must flag both the
-    missing dispatch and the missing fuzz coverage."""
+    missing registration and the missing fuzz coverage."""
     hpp = """
     enum class MsgType : std::uint8_t {
       kPing = 1,
@@ -65,24 +69,30 @@ def selftest() -> int:
     };
     """
     cpp = """
-    w.u8(std::uint8_t(MsgType::kPing));
-    case MsgType::kPing: { break; }
+    constexpr MsgType kWireTypes[] = {
+        MsgType::kPing,
+    };
     """
     fuzz = "all.emplace_back(Ping{});"
     hits = check(hpp, cpp, fuzz)
     assert len(hits) == 2, f"expected 2 violations, got {hits}"
-    assert any("kBogusUnregistered" in h and "codec.cpp" in h
+    assert any("kBogusUnregistered" in h and "type table" in h
                for h in hits)
     assert any("BogusUnregistered" in h and "corpus" in h for h in hits)
 
-    # Encode-only (one mention) must also be flagged.
-    cpp_encode_only = "w.u8(std::uint8_t(MsgType::kPing));"
+    # A mention outside the table (say, a stray comparison) does not
+    # register the type.
     hits = check(
-        "enum class MsgType : std::uint8_t { kPing = 1, };",
-        cpp_encode_only,
-        fuzz,
+        "enum class MsgType : std::uint8_t { kPing = 1, kPong = 2, };",
+        cpp + "if (t == MsgType::kPong) {}",
+        fuzz + " Pong{}",
     )
-    assert len(hits) == 1 and "need encode + decode" in hits[0], hits
+    assert len(hits) == 1 and "kPong" in hits[0], hits
+
+    # No table at all is a violation, not a silent pass.
+    hits = check("enum class MsgType : std::uint8_t { kPing = 1, };",
+                 "", fuzz)
+    assert len(hits) == 1 and "not found" in hits[0], hits
 
     # Fully registered enumerator: quiet.
     assert check(

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Project lint suite: the custom checks every PR must pass.
 #   - check_blocking:  no blocking syscalls on EventLoop tick paths
-#   - check_msgtype:   every MsgType is dispatched and fuzz-covered
+#   - check_msgtype:   every MsgType is in the codec type table and fuzz-covered
 #   - check_atomics:   no implicit-memory-order atomics in src/obs
 #   - check_log_lazy:  no eager log formatting on net/repl tick paths
 #   - check_format:    clang-format --dry-run --Werror (skips when the

@@ -122,10 +122,14 @@ class SimCluster::ClientEnvImpl final : public ClientEnv {
       : cluster_(cluster), origin_(origin) {}
 
   dht::LookupResult dht_lookup(dht::HashKey h) override {
-    // A client whose access point died re-attaches to a live server.
-    if (!cluster_.is_alive(origin_)) {
+    // A client whose access point died, or is back up but not yet
+    // re-admitted to the ring, re-attaches to a live ring member.
+    const auto attachable = [&](ServerId id) {
+      return cluster_.is_alive(id) && cluster_.ring_.contains(id);
+    };
+    if (!attachable(origin_)) {
       for (std::size_t i = 0; i < cluster_.servers_.size(); ++i) {
-        if (cluster_.alive_[i]) {
+        if (attachable(ServerId{i})) {
           origin_ = ServerId{i};
           break;
         }

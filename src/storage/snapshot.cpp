@@ -4,8 +4,7 @@
 
 #include "common/crc32.hpp"
 #include "repl/log.hpp"
-#include "wire/buffer.hpp"
-#include "wire/codec.hpp"
+#include "wire/fields.hpp"
 
 namespace clash::storage {
 
@@ -14,32 +13,47 @@ namespace {
 constexpr std::uint32_t kMagic = 0x43534E50;  // "CSNP"
 constexpr std::uint8_t kVersion = 1;
 
+/// One object section: [u32 count][count x put LogOp]. Encoding turns
+/// each entry of `state.*objects` into its put op; decoding replays
+/// every op through GroupLog::apply, as recovery replays any log suffix.
+template <typename IO, typename Map, typename PutOp>
+void object_ops(IO& io, wire::Ref<IO, GroupState> state,
+                Map GroupState::*objects, PutOp put) {
+  const Map& map = state.*objects;
+  auto count = std::uint32_t(map.size());
+  io.u32(count);
+  auto it = map.begin();
+  for (std::uint32_t i = 0; i < count && io.ok(); ++i) {
+    repl::LogOp op;
+    if constexpr (!IO::kDecoding) op = put((it++)->second);
+    fields(io, op);
+    if constexpr (IO::kDecoding) repl::GroupLog::apply(op, state);
+  }
+}
+
 }  // namespace
+
+/// The file minus its trailing CRC32.
+template <typename IO>
+void fields(IO& io, wire::Ref<IO, SnapshotImage> img) {
+  auto magic = kMagic;
+  auto version = kVersion;
+  io.u32(magic);
+  io.u8(version);
+  io.check([&] { return magic == kMagic && version == kVersion; });
+  fields(io, img.group);
+  fields(io, img.head);
+  io.boolean(img.root);
+  io.u64(img.parent.value);
+  object_ops(io, img.state, &GroupState::streams, repl::LogOp::put_stream);
+  object_ops(io, img.state, &GroupState::queries, repl::LogOp::put_query);
+  io.blob(img.app_state);
+  io.vec(img.app_deltas);
+}
 
 std::vector<std::uint8_t> encode_snapshot(const SnapshotImage& img) {
   wire::Writer w;
-  w.u32(kMagic);
-  w.u8(kVersion);
-  wire::encode_group(w, img.group);
-  w.u64(img.head.epoch);
-  w.u64(img.head.seq);
-  w.boolean(img.root);
-  w.u64(img.parent.value);
-  w.u32(std::uint32_t(img.state.streams.size()));
-  for (const auto& [_, s] : img.state.streams) {
-    wire::encode_log_op(w, repl::LogOp::put_stream(s));
-  }
-  w.u32(std::uint32_t(img.state.queries.size()));
-  for (const auto& [_, q] : img.state.queries) {
-    wire::encode_log_op(w, repl::LogOp::put_query(q));
-  }
-  w.u32(std::uint32_t(img.app_state.size()));
-  w.bytes(img.app_state);
-  w.u32(std::uint32_t(img.app_deltas.size()));
-  for (const auto& d : img.app_deltas) {
-    w.u32(std::uint32_t(d.size()));
-    w.bytes(d);
-  }
+  wire::encode(w, img);
   w.u32(crc32(w.data()));
   return w.take();
 }
@@ -51,34 +65,7 @@ bool decode_snapshot(std::span<const std::uint8_t> data, SnapshotImage& out) {
     return false;
   }
   wire::Reader r(body);
-  if (r.u32() != kMagic || r.u8() != kVersion) return false;
-  out.group = wire::decode_group(r);
-  out.head.epoch = r.u64();
-  out.head.seq = r.u64();
-  out.root = r.boolean();
-  out.parent = ServerId{r.u64()};
-  out.state = GroupState{};
-  const auto n_streams = r.u32();
-  for (std::uint32_t i = 0; i < n_streams && r.ok(); ++i) {
-    repl::GroupLog::apply(wire::decode_log_op(r), out.state);
-  }
-  const auto n_queries = r.u32();
-  for (std::uint32_t i = 0; i < n_queries && r.ok(); ++i) {
-    repl::GroupLog::apply(wire::decode_log_op(r), out.state);
-  }
-  const auto app_len = r.u32();
-  if (std::size_t(app_len) > r.remaining()) return false;
-  out.app_state.resize(app_len);
-  for (auto& b : out.app_state) b = r.u8();
-  const auto n_deltas = r.u32();
-  out.app_deltas.clear();
-  for (std::uint32_t i = 0; i < n_deltas && r.ok(); ++i) {
-    const auto len = r.u32();
-    if (std::size_t(len) > r.remaining()) return false;
-    std::vector<std::uint8_t> d(len);
-    for (auto& b : d) b = r.u8();
-    out.app_deltas.push_back(std::move(d));
-  }
+  out = wire::decode<SnapshotImage>(r);
   return r.exhausted();
 }
 

@@ -5,8 +5,7 @@
 
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
-#include "wire/buffer.hpp"
-#include "wire/codec.hpp"
+#include "wire/fields.hpp"
 
 namespace clash::storage {
 
@@ -14,34 +13,20 @@ namespace {
 
 constexpr std::size_t kFrameHeader = 8;  // u32 len + u32 crc
 
-void encode_payload(wire::Writer& w, const WalRecord& r) {
-  w.u8(std::uint8_t(r.kind));
-  wire::encode_group(w, r.group);
-  w.u64(r.head.epoch);
-  w.u64(r.head.seq);
-  if (r.kind == RecordKind::kOp) wire::encode_log_op(w, r.op);
-}
-
-bool decode_payload(std::span<const std::uint8_t> payload, WalRecord& out) {
-  wire::Reader r(payload);
-  const auto kind = r.u8();
-  if (kind != std::uint8_t(RecordKind::kOp) &&
-      kind != std::uint8_t(RecordKind::kDrop)) {
-    return false;
-  }
-  out.kind = RecordKind(kind);
-  out.group = wire::decode_group(r);
-  out.head.epoch = r.u64();
-  out.head.seq = r.u64();
-  if (out.kind == RecordKind::kOp) out.op = wire::decode_log_op(r);
-  return r.exhausted();
-}
-
 }  // namespace
+
+/// The record payload: [kind][group][head][op, kOp only].
+template <typename IO>
+void fields(IO& io, wire::Ref<IO, WalRecord> r) {
+  io.enum8(r.kind, RecordKind::kOp, RecordKind::kDrop);
+  fields(io, r.group);
+  fields(io, r.head);
+  if (r.kind == RecordKind::kOp) fields(io, r.op);
+}
 
 std::vector<std::uint8_t> encode_wal_record(const WalRecord& r) {
   wire::Writer payload;
-  encode_payload(payload, r);
+  wire::encode(payload, r);
   wire::Writer framed;
   framed.reserve(kFrameHeader + payload.size());
   framed.u32(std::uint32_t(payload.size()));
@@ -71,8 +56,9 @@ ScanResult scan_wal_segment(
       result.end = ScanEnd::kCorrupt;
       return result;
     }
-    WalRecord rec;
-    if (!decode_payload(payload, rec)) {
+    wire::Reader reader(payload);
+    const auto rec = wire::decode<WalRecord>(reader);
+    if (!reader.exhausted()) {
       result.end = ScanEnd::kCorrupt;
       return result;
     }

@@ -1,6 +1,5 @@
 #include "wire/buffer.hpp"
 
-#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -11,23 +10,6 @@ namespace clash::wire {
 Writer::Writer() : buf_(BufferPool::local().acquire()) {}
 
 Writer::~Writer() { BufferPool::local().release(std::move(buf_)); }
-
-void Writer::u16(std::uint16_t v) {
-  u8(std::uint8_t(v));
-  u8(std::uint8_t(v >> 8));
-}
-
-void Writer::u32(std::uint32_t v) {
-  u16(std::uint16_t(v));
-  u16(std::uint16_t(v >> 16));
-}
-
-void Writer::u64(std::uint64_t v) {
-  u32(std::uint32_t(v));
-  u32(std::uint32_t(v >> 32));
-}
-
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void Writer::bytes(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
@@ -44,44 +26,15 @@ void Writer::patch_u32(std::size_t offset, std::uint32_t v) {
   store_u32_le(buf_.data() + offset, v);
 }
 
-bool Reader::take(std::size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t Reader::u8() {
-  if (!take(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint16_t Reader::u16() {
-  const auto lo = u8();
-  const auto hi = u8();
-  return std::uint16_t(lo | (std::uint16_t(hi) << 8));
-}
-
-std::uint32_t Reader::u32() {
-  const auto lo = u16();
-  const auto hi = u16();
-  return std::uint32_t(lo) | (std::uint32_t(hi) << 16);
-}
-
-std::uint64_t Reader::u64() {
-  const auto lo = u32();
-  const auto hi = u32();
-  return std::uint64_t(lo) | (std::uint64_t(hi) << 32);
-}
-
-double Reader::f64() { return std::bit_cast<double>(u64()); }
-
 std::string Reader::str() {
-  const auto len = u32();
-  if (!take(len)) return {};
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
+  const auto raw = bytes(u32());
+  return std::string(raw.begin(), raw.end());
+}
+
+std::span<const std::uint8_t> Reader::bytes(std::size_t n) {
+  if (!take(n)) return {};
+  const auto out = data_.subspan(pos_, n);
+  pos_ += n;
   return out;
 }
 

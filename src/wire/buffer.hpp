@@ -4,6 +4,7 @@
 // instead of throwing, so malformed peer input can never crash a node.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -45,10 +46,10 @@ class Writer {
   void reserve(std::size_t n) { buf_.reserve(n); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);
+  void u16(std::uint16_t v) { le(v); }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
+  void f64(double v) { le(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void bytes(std::span<const std::uint8_t> data);
   /// Length-prefixed (u32) string.
@@ -63,6 +64,15 @@ class Writer {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
+  template <typename T>
+  void le(T v) {
+    std::uint8_t b[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      b[i] = std::uint8_t(v >> (8 * i));
+    }
+    buf_.insert(buf_.end(), b, b + sizeof(T));
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -70,14 +80,16 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
+  std::uint8_t u8() { return le<std::uint8_t>(); }
+  std::uint16_t u16() { return le<std::uint16_t>(); }
+  std::uint32_t u32() { return le<std::uint32_t>(); }
+  std::uint64_t u64() { return le<std::uint64_t>(); }
+  double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
   /// Length-prefixed (u32) string; empty on error.
   std::string str();
+  /// The next `n` raw bytes (a view into the input); empty on error.
+  std::span<const std::uint8_t> bytes(std::size_t n);
 
   /// True while all reads so far were in bounds.
   [[nodiscard]] bool ok() const { return ok_; }
@@ -90,7 +102,21 @@ class Reader {
   }
 
  private:
-  [[nodiscard]] bool take(std::size_t n);
+  [[nodiscard]] bool take(std::size_t n) {
+    if (!ok_ || data_.size() - pos_ < n) ok_ = false;
+    return ok_;
+  }
+  /// A little-endian T; 0 (and the error latched) past the end.
+  template <typename T>
+  T le() {
+    if (!take(sizeof(T))) return 0;
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= T(T(data_[pos_ + i]) << (8 * i));
+    }
+    pos_ += sizeof(T);
+    return v;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

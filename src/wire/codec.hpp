@@ -1,7 +1,9 @@
 // Wire codec for the CLASH protocol messages: every Message variant and
 // AcceptObjectReply can round-trip through a compact, versioned binary
 // encoding. Frames on the TCP transport are u32-length-prefixed
-// envelopes { version, kind, request id, sender } + payload.
+// envelopes { version, kind, request id, sender } + payload. Each
+// payload is [MsgType][fields]; every record's fields are listed once
+// (wire/fields.hpp, codec.cpp) and that list drives both directions.
 #pragma once
 
 #include <cstdint>

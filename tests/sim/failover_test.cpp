@@ -188,5 +188,27 @@ TEST(Failover, SplitGroupsFailOverToo) {
   EXPECT_EQ(cluster.check_invariants(), std::nullopt);
 }
 
+// A revived server is alive before the survivors re-admit it to the
+// ring. A client attached to it must route through a ring member
+// meanwhile, not ask the ring to route from an off-ring origin.
+TEST(Failover, ClientOfARestartedAccessPointRoutesViaTheRing) {
+  SimCluster cluster(replicated_config(2));
+  cluster.bootstrap();
+  ClashClient client(cluster.clash_config(), cluster.client_env(ServerId{0}),
+                     cluster.hasher());
+  (void)load_streams(cluster, client, 20, 3);
+
+  cluster.fail_server(ServerId{0});
+  cluster.restart_server(ServerId{0});
+  ASSERT_TRUE(cluster.is_alive(ServerId{0}));
+  ClashClient fresh(cluster.clash_config(), cluster.client_env(ServerId{0}),
+                    cluster.hasher());
+  (void)load_streams(cluster, fresh, 20, 4);
+
+  cluster.join_server(ServerId{0});
+  (void)load_streams(cluster, fresh, 20, 5);
+  EXPECT_EQ(cluster.check_invariants(), std::nullopt);
+}
+
 }  // namespace
 }  // namespace clash::sim
