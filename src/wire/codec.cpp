@@ -146,6 +146,18 @@ void fields(IO& io, Ref<IO, AntiEntropyDiff> m) {
   io.vec(m.behind);
 }
 
+/// A frame after its length prefix: [version][kind][request id][sender],
+/// then the payload.
+template <typename IO>
+void fields(IO& io, Ref<IO, Envelope> env) {
+  auto version = kProtocolVersion;
+  io.u8(version);
+  io.check([&] { return version == kProtocolVersion; });
+  io.enum8(env.kind, FrameKind::kOneway, FrameKind::kResponse);
+  io.u64(env.request_id);
+  io.u64(env.sender.value);
+}
+
 namespace {
 
 // --- The type table ------------------------------------------------------
@@ -349,10 +361,7 @@ Writer begin_frame(const Envelope& env) {
   Writer w;
   w.reserve(128);
   w.u32(0);  // length slot, patched by finish_frame
-  w.u8(kProtocolVersion);
-  w.u8(std::uint8_t(env.kind));
-  w.u64(env.request_id);
-  w.u64(env.sender.value);
+  encode(w, env);
   return w;
 }
 
@@ -364,33 +373,23 @@ std::vector<std::uint8_t> finish_frame(Writer&& w) {
 std::vector<std::uint8_t> encode_frame(
     const Envelope& env, std::span<const std::uint8_t> payload) {
   Writer w;
-  w.u8(kProtocolVersion);
-  w.u8(std::uint8_t(env.kind));
-  w.u64(env.request_id);
-  w.u64(env.sender.value);
+  encode(w, env);
   w.bytes(payload);
   return w.take();
 }
 
 Expected<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame) {
   Reader r(frame);
-  const auto version = r.u8();
-  if (!r.ok()) return Error::protocol("empty frame");
-  if (version != kProtocolVersion) {
-    return Error::protocol("unsupported protocol version " +
-                           std::to_string(version));
-  }
   DecodedFrame out;
-  const auto kind = r.u8();
-  if (kind > std::uint8_t(FrameKind::kResponse)) {
-    return Error::protocol("bad frame kind");
+  out.envelope = decode<Envelope>(r);
+  if (!r.ok()) {
+    if (!frame.empty() && frame[0] != kProtocolVersion) {
+      return Error::protocol("unsupported protocol version " +
+                             std::to_string(frame[0]));
+    }
+    return Error::protocol("malformed frame header");
   }
-  out.envelope.kind = FrameKind(kind);
-  out.envelope.request_id = r.u64();
-  out.envelope.sender = ServerId{r.u64()};
-  if (!r.ok()) return Error::protocol("truncated frame header");
-  out.payload.assign(frame.begin() + std::ptrdiff_t(frame.size() -
-                                                    r.remaining()),
+  out.payload.assign(frame.end() - std::ptrdiff_t(r.remaining()),
                      frame.end());
   return out;
 }
