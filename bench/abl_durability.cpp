@@ -214,7 +214,7 @@ constexpr off_t kKill9WalBytes = 96 * 1024;
   NullEnv env;
   ClashServer server(ServerId{0}, cfg, env,
                      dht::KeyHasher(32, dht::KeyHasher::Algo::kMix64, 0));
-  server.set_storage(&store);
+  server.replicator().set_storage(&store);
   ServerTableEntry entry;
   entry.group = KeyGroup::root(16);
   entry.root = true;

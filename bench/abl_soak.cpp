@@ -109,7 +109,7 @@ std::size_t live_queries(const SimCluster& cluster) {
 std::size_t replica_records(const SimCluster& cluster) {
   std::size_t total = 0;
   for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
-    total += cluster.server(ServerId{i}).replica_count();
+    total += cluster.server(ServerId{i}).replicator().replica_count();
   }
   return total;
 }

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "common/logging.hpp"
 #include "dht/chord.hpp"
-#include "storage/store.hpp"
-#include "wire/codec.hpp"
 
 namespace clash {
 
@@ -21,57 +18,14 @@ ClashServer::ClashServer(ServerId self, const ClashConfig& cfg, ServerEnv& env,
       rng_(self.value * 0x9e3779b97f4a7c15ULL + 17),
       hub_(env.obs()) {
   auto& reg = hub_.registry;
-  commit_latency_us_ = reg.histogram("clash_repl_commit_usec");
-  failover_us_ = reg.histogram("clash_failover_recovery_usec");
-  snapshot_install_us_ = reg.histogram("clash_snapshot_install_usec");
   puts_total_ = reg.counter("clash_puts_total");
   repl_bytes_total_ = reg.counter("clash_repl_bytes_total");
-  corrupt_rejected_total_ = reg.counter("clash_corrupt_rejected_total");
 }
 
-ClashServer::~ClashServer() {
-  // Acks still owed die with the server (the owner re-syncs through
-  // anti-entropy); only the pending flush must not outlive it.
-  if (ack_flush_timer_ != 0) env_.cancel_deferred(ack_flush_timer_);
-}
-
-// Structural wire-size model for the cost vector: close enough to the
-// encoded sizes for placement decisions, free on the hot path (no
-// second encode).
 namespace {
 
-constexpr std::uint64_t kMsgOverheadBytes = 24;
+// Structural wire size of one put, for the cost vector.
 constexpr std::uint64_t kPutWireBytes = 40;
-
-std::uint64_t approx_op_bytes(const repl::LogOp& op) {
-  return 24 + op.app_delta.size();
-}
-
-std::uint64_t approx_chunk_bytes(const SnapshotChunk& c) {
-  std::uint64_t b = kMsgOverheadBytes + 24 * c.streams.size() +
-                    16 * c.queries.size() + c.app_state.size();
-  for (const auto& d : c.app_deltas) b += d.size();
-  return b;
-}
-
-/// RAII for ClashServer::active_trace_: installs `id` (when nonzero)
-/// for the duration of one message dispatch and restores the previous
-/// value on exit, so nested dispatches under synchronous transports
-/// keep their own correlation ids.
-class TraceScope {
- public:
-  TraceScope(std::uint64_t& slot, std::uint64_t id)
-      : slot_(slot), saved_(slot) {
-    if (id != 0) slot_ = id;
-  }
-  ~TraceScope() { slot_ = saved_; }
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  std::uint64_t& slot_;
-  std::uint64_t saved_;
-};
 
 }  // namespace
 
@@ -100,7 +54,7 @@ void ClashServer::fold_census(NodeCensusRecord& rec,
                               std::size_t top_k) const {
   rec.load = server_load();
   rec.active_groups = std::uint32_t(table_.active_count());
-  rec.replica_records = std::uint32_t(replicas_.size());
+  rec.replica_records = std::uint32_t(repl_.replica_count());
   rec.queries = total_queries();
   rec.streams = total_streams();
   rec.totals = total_group_cost();
@@ -126,8 +80,7 @@ void ClashServer::install_entry(const ServerTableEntry& entry) {
   if (entry.active) {
     state_.try_emplace(entry.group);
     note_group_activated(entry.group);
-    if (log_replication()) snapshot_group(entry);
-    ensure_durable_group(entry);
+    repl_.activated(entry);
   }
 }
 
@@ -161,16 +114,16 @@ AcceptObjectReply ClashServer::handle_accept_object(const AcceptObject& m) {
     puts_total_.inc();
     if (m.kind == ObjectKind::kQuery) {
       gs.queries[m.query_id] = QueryInfo{m.query_id, m.key};
-      log_op(entry->group,
-             repl::LogOp::put_query(QueryInfo{m.query_id, m.key}));
+      repl_.logged(entry->group,
+                   repl::LogOp::put_query(QueryInfo{m.query_id, m.key}));
     } else {
       auto [it, inserted] = gs.streams.try_emplace(m.source);
       if (!inserted) gs.stream_rate -= it->second.rate;
       it->second = StreamInfo{m.source, m.key, m.stream_rate};
       gs.stream_rate += m.stream_rate;
-      log_op(entry->group,
-             repl::LogOp::put_stream(StreamInfo{m.source, m.key,
-                                                m.stream_rate}));
+      repl_.logged(entry->group,
+                   repl::LogOp::put_stream(StreamInfo{m.source, m.key,
+                                                      m.stream_rate}));
     }
   }
   return AcceptObjectOk{entry->group.depth()};
@@ -186,7 +139,7 @@ void ClashServer::remove_stream(ClientId source, const Key& key) {
   st->second.stream_rate -= it->second.rate;
   if (st->second.stream_rate < 0) st->second.stream_rate = 0;  // fp dust
   st->second.streams.erase(it);
-  log_op(entry->group, repl::LogOp::del_stream(source));
+  repl_.logged(entry->group, repl::LogOp::del_stream(source));
   maybe_gc_group(entry->group);
 }
 
@@ -196,7 +149,7 @@ void ClashServer::remove_query(QueryId id, const Key& key) {
   const auto st = state_.find(entry->group);
   if (st == state_.end()) return;
   st->second.queries.erase(id);
-  log_op(entry->group, repl::LogOp::del_query(id));
+  repl_.logged(entry->group, repl::LogOp::del_query(id));
   maybe_gc_group(entry->group);
 }
 
@@ -210,7 +163,7 @@ void ClashServer::maybe_gc_group(const KeyGroup& group_ref) {
   state_.erase(st);
   table_.erase(group);
   note_group_deactivated(group);
-  retire_replicas(group);
+  retire_group(group);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,33 +173,10 @@ void ClashServer::maybe_gc_group(const KeyGroup& group_ref) {
 void ClashServer::deliver(ServerId from, const Message& msg) {
   std::visit(
       [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, AcceptKeyGroup>) {
-          handle_accept_keygroup(from, m);
-        } else if constexpr (std::is_same_v<T, LoadReport>) {
-          handle_load_report(from, m);
-        } else if constexpr (std::is_same_v<T, ReclaimKeyGroup>) {
-          handle_reclaim(from, m);
-        } else if constexpr (std::is_same_v<T, ReclaimAck>) {
-          handle_reclaim_ack(from, m);
-        } else if constexpr (std::is_same_v<T, ReclaimRefused>) {
-          handle_reclaim_refused(from, m);
-        } else if constexpr (std::is_same_v<T, DropReplica>) {
-          handle_drop_replica(from, m);
-        } else if constexpr (std::is_same_v<T, ReplAppend>) {
-          handle_repl_append(from, m);
-        } else if constexpr (std::is_same_v<T, ReplAck>) {
-          handle_repl_ack(from, m);
-        } else if constexpr (std::is_same_v<T, SnapshotOffer>) {
-          handle_snapshot_offer(from, m);
-        } else if constexpr (std::is_same_v<T, SnapshotChunk>) {
-          handle_snapshot_chunk(from, m);
-        } else if constexpr (std::is_same_v<T, AntiEntropyProbe>) {
-          handle_ae_probe(from, m);
-        } else if constexpr (std::is_same_v<T, AntiEntropyDiff>) {
-          handle_ae_diff(from, m);
-        } else if constexpr (std::is_same_v<T, AcceptKeyGroupAck>) {
-          // Acknowledgement only; transfer already applied locally.
+        if constexpr (requires { repl_.handle(from, m); }) {
+          repl_.handle(from, m);
+        } else if constexpr (requires { handle(from, m); }) {
+          handle(from, m);
         } else {
           CLASH_WARN << to_string(self_)
                      << ": unexpected message variant from peer";
@@ -255,8 +185,7 @@ void ClashServer::deliver(ServerId from, const Message& msg) {
       msg);
 }
 
-void ClashServer::handle_accept_keygroup(ServerId from,
-                                         const AcceptKeyGroup& m) {
+void ClashServer::handle(ServerId from, const AcceptKeyGroup& m) {
   // Section 5: a node must accept every ACCEPT_KEYGROUP (it can always
   // split further itself if overloaded).
   ServerTableEntry entry;
@@ -276,22 +205,13 @@ void ClashServer::handle_accept_keygroup(ServerId from,
   if (app_hooks_ != nullptr && !m.app_state.empty()) {
     app_hooks_->import_state(m.group, m.app_state);
   }
-  // A transfer supersedes any in-flight recovery of the same group
-  // (e.g. a handoff landing inside a promotion grace window).
-  abandon_group_recovery(m.group);
-
-  // Replicate the freshly adopted group now rather than at the next
-  // load check: a group must never live a whole check period with no
-  // replica, or its owner's crash in that window would lose it (and,
-  // in the deployed layer, leave its key range unroutable -- no
-  // survivor would even know the group existed).
-  if (log_replication() || durable()) init_group_log(m.group, m.epoch + 1);
-  if (log_replication()) snapshot_group(entry);
+  // A transfer starts a new ownership line above the sender's.
+  repl_.activated(entry, m.epoch + 1);
 
   env_.send(from, AcceptKeyGroupAck{m.group});
 }
 
-void ClashServer::handle_load_report(ServerId from, const LoadReport& m) {
+void ClashServer::handle(ServerId from, const LoadReport& m) {
   child_reports_[m.group] = ChildReport{m.load, m.is_leaf, env_.now()};
   // Self-healing child pointer: after a failover the group's new owner
   // reports here; update the lineage entry so consolidation can still
@@ -307,7 +227,7 @@ void ClashServer::handle_load_report(ServerId from, const LoadReport& m) {
   }
 }
 
-void ClashServer::handle_reclaim(ServerId from, const ReclaimKeyGroup& m) {
+void ClashServer::handle(ServerId from, const ReclaimKeyGroup& m) {
   ServerTableEntry* entry = table_.find(m.group);
   // Refuse unless the group is still an active leaf we hold for this
   // parent (it may have been split further since the last report).
@@ -326,7 +246,7 @@ void ClashServer::handle_reclaim(ServerId from, const ReclaimKeyGroup& m) {
   table_.erase(m.group);
   child_reports_.erase(m.group);
   note_group_deactivated(m.group);
-  retire_replicas(m.group);
+  retire_group(m.group);
 
   ReclaimAck ack;
   ack.group = m.group;
@@ -341,7 +261,7 @@ void ClashServer::handle_reclaim(ServerId from, const ReclaimKeyGroup& m) {
   env_.send(from, std::move(ack));
 }
 
-void ClashServer::handle_reclaim_ack(ServerId from, const ReclaimAck& m) {
+void ClashServer::handle(ServerId from, const ReclaimAck& m) {
   pending_reclaims_.erase(m.group);
   child_reports_.erase(m.group);
 
@@ -382,16 +302,14 @@ void ClashServer::handle_reclaim_ack(ServerId from, const ReclaimAck& m) {
   parent_entry->right_child = ServerId{};
   state_[parent_group] = std::move(merged);
   note_group_activated(parent_group);
-  if (log_replication()) snapshot_group(*parent_entry);
-  ensure_durable_group(*parent_entry);
+  repl_.activated(*parent_entry);
   // The merged parent's baseline is anchored; only now may the left
   // child's durable record be dropped (see split_group).
-  retire_replicas(left);
+  retire_group(left);
   stats_.merges++;
 }
 
-void ClashServer::handle_reclaim_refused(ServerId /*from*/,
-                                         const ReclaimRefused& m) {
+void ClashServer::handle(ServerId /*from*/, const ReclaimRefused& m) {
   pending_reclaims_.erase(m.group);
   // Mark the report non-leaf so we stop trying until a fresh report.
   const auto it = child_reports_.find(m.group);
@@ -458,11 +376,8 @@ void ClashServer::split_group(const KeyGroup& group,
     table_.insert(left_entry);
     state_[left] = std::move(st);
     note_group_activated(left);
-    // The left child is a final placement: replicate it immediately so
-    // it never spends a check period unprotected (see
-    // handle_accept_keygroup).
-    if (log_replication()) snapshot_group(left_entry);
-    ensure_durable_group(left_entry);
+    // The left child is a final placement: replicated at once.
+    repl_.activated(left_entry);
     retired.push_back(current);
 
     if (owner.owner != self_ || right.depth() >= cfg_.key_width ||
@@ -479,8 +394,7 @@ void ClashServer::split_group(const KeyGroup& group,
         table_.insert(right_entry);
         state_[right] = std::move(right_state);
         note_group_activated(right);
-        if (log_replication()) snapshot_group(right_entry);
-        ensure_durable_group(right_entry);
+        repl_.activated(right_entry);
         stats_.self_remaps++;
       } else {
         AcceptKeyGroup msg;
@@ -501,7 +415,7 @@ void ClashServer::split_group(const KeyGroup& group,
         env_.send(owner.owner, std::move(msg));
       }
       stats_.splits++;
-      for (const KeyGroup& g : retired) retire_replicas(g);
+      for (const KeyGroup& g : retired) retire_group(g);
       return;
     }
 
@@ -524,37 +438,8 @@ void ClashServer::split_group(const KeyGroup& group,
 // ---------------------------------------------------------------------------
 
 void ClashServer::run_load_check() {
-  // The replica lease must track the cadence this method actually runs
-  // at: the deployment layer drives it on its own interval, which may
-  // be far longer than ClashConfig::load_check_period — deriving the
-  // lease from the config alone could expire perfectly live replicas
-  // between two refreshes.
-  const SimTime now = env_.now();
-  if (last_load_check_.usec >= 0) {
-    observed_check_gap_usec_ =
-        std::max(observed_check_gap_usec_, (now - last_load_check_).usec);
-  }
-  last_load_check_ = now;
-  if (durable()) {
-    storage_->tick(now);  // group-commit fsync backstop
-    // Re-anchor any group whose snapshot write failed (ENOSPC,
-    // transient I/O): without the baseline, recovery would replay its
-    // ops onto an empty image and call the partial result success.
-    for (const ServerTableEntry* e : table_.active_entries()) {
-      if (storage_->snapshot_retry_pending(e->group)) {
-        persist_group_snapshot(*e, /*checkpoint=*/false);
-      }
-    }
-  }
   send_load_reports();
-  gc_stale_replicas();
-  // The steady-state refresh is one (epoch, seq) vector per holder;
-  // divergence is repaired by exactly the missing suffix.
-  if (log_replication()) send_anti_entropy();
-  // Resume any snapshot transfer that paused on transport
-  // backpressure (the drain callback is the fast path; this is the
-  // periodic backstop).
-  pump_snapshots();
+  repl_.tick();
   const double load = server_load();
   switch (classify_load(cfg_, load)) {
     case LoadVerdict::kOverloaded:
@@ -699,7 +584,7 @@ void ClashServer::try_consolidate() {
     }
     table_.erase(right);
     note_group_deactivated(right);
-    retire_replicas(right);
+    retire_group(right);
 
     ReclaimAck local_ack;
     local_ack.group = right;
@@ -709,7 +594,7 @@ void ClashServer::try_consolidate() {
     for (const auto& [_, q] : right_state.queries) {
       local_ack.queries.push_back(q);
     }
-    handle_reclaim_ack(self_, local_ack);
+    handle(self_, local_ack);
     return;
   }
 
@@ -718,864 +603,28 @@ void ClashServer::try_consolidate() {
 }
 
 // ---------------------------------------------------------------------------
-// State partitioning and introspection.
+// Group retirement, app deltas, ring changes and failover.
 // ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// Fault tolerance: replica retirement and lease GC.
-// ---------------------------------------------------------------------------
-
-void ClashServer::retire_replicas(const KeyGroup& group) {
-  cancel_outbound_snapshots(group);  // the image being streamed is dead
-  drop_group_log(group);
+void ClashServer::retire_group(const KeyGroup& group) {
+  repl_.retired(group);
   // The group left this server (gc / split / merge / handoff): its cost
   // history goes with it, or the map — and its scrape-time gauges —
   // grow without bound under churn. The new owner meters from zero.
   group_costs_.erase(group);
-  if (cfg_.replication_factor == 0) return;
-  const auto targets = env_.replica_targets(
-      hasher_.hash_key(group.virtual_key()), cfg_.replication_factor);
-  for (const ServerId target : targets) {
-    if (target == self_) continue;
-    env_.send(target, DropReplica{group});
-  }
 }
 
-void ClashServer::gc_stale_replicas() {
-  const SimTime now = env_.now();
-  const auto lease = SimTime(
-      std::max(cfg_.load_check_period.usec, observed_check_gap_usec_) * 3);
-  for (auto it = replicas_.begin(); it != replicas_.end();) {
-    if (now - it->second.refreshed > lease) {
-      // Replication-byte costs metered for a replica we no longer hold
-      // go too — unless the group is also actively owned here.
-      const ServerTableEntry* entry = table_.find(it->first);
-      if (entry == nullptr || !entry->active) {
-        group_costs_.erase(it->first);
-      }
-      it = erase_replica(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ClashServer::handle_drop_replica(ServerId /*from*/,
-                                      const DropReplica& m) {
-  if (const auto it = replicas_.find(m.group); it != replicas_.end()) {
-    erase_replica(it);
-  }
-  const ServerTableEntry* entry = table_.find(m.group);
-  if (entry == nullptr || !entry->active) group_costs_.erase(m.group);
-}
-
-// ---------------------------------------------------------------------------
-// Replication & recovery subsystem (src/repl/): per-group operation
-// log, snapshot + delta state transfer, anti-entropy repair.
-// ---------------------------------------------------------------------------
-
-std::vector<ServerId> ClashServer::replica_set(const KeyGroup& group) {
-  return env_.replica_targets(hasher_.hash_key(group.virtual_key()),
-                              cfg_.replication_factor);
-}
-
-// ---------------------------------------------------------------------------
-// Durable storage subsystem (src/storage/): append-on-mutate WAL,
-// baseline/checkpoint snapshots, crash-recovery restore.
-// ---------------------------------------------------------------------------
-
-bool ClashServer::durable() const {
-  return storage_ != nullptr &&
-         cfg_.durability_mode != ClashConfig::DurabilityMode::kNone;
-}
-
-void ClashServer::persist_group_snapshot(const ServerTableEntry& entry,
-                                         bool checkpoint) {
-  if (!durable()) return;
-  storage::SnapshotImage img;
-  img.group = entry.group;
-  const auto lit = logs_.find(entry.group);
-  img.head = lit != logs_.end() ? lit->second.head() : repl::LogHead{1, 0};
-  img.root = entry.root;
-  img.parent = entry.parent;
-  const auto st = state_.find(entry.group);
-  if (st != state_.end()) img.state = st->second;
-  if (app_hooks_ != nullptr) {
-    img.app_state = app_hooks_->snapshot_state(entry.group);
-  }
-  meter_storage_bytes(entry.group, storage_->write_snapshot(img, checkpoint));
-}
-
-void ClashServer::ensure_durable_group(const ServerTableEntry& entry) {
-  if (!durable() || logs_.count(entry.group) > 0) return;
-  // Creating the log writes the baseline snapshot; on a replicated
-  // server the replica push (snapshot_group) usually beat us here and
-  // this is a no-op.
-  init_group_log(entry.group, 1);
-}
-
-std::size_t ClashServer::restore_from_storage() {
-  if (storage_ == nullptr) return 0;
-  auto image = storage_->take_image();
-  if (!durable()) return 0;
-  for (auto& [group, g] : image.groups) {
-    ReplicaRecord rec;
-    rec.owner = self_;
-    rec.root = g.root;
-    rec.parent = g.parent;
-    rec.state = std::move(g.state);
-    rec.refreshed = env_.now();
-    rec.log.reset(g.head.epoch, g.head.seq);
-    rec.advertised = g.head;
-    rec.app_snapshot = std::move(g.app_state);
-    rec.app_tail = std::move(g.app_deltas);
-    replicas_[group] = std::move(rec);
-    // The group's next ownership line must rise above the recovered
-    // one even if promotion happens before any peer is heard.
-    auto [it, inserted] = retired_epochs_.try_emplace(group, g.head.epoch);
-    if (!inserted && it->second < g.head.epoch) it->second = g.head.epoch;
-  }
-  adopt_restored_ = !image.groups.empty();
-  return image.groups.size();
-}
-
-void ClashServer::init_group_log(const KeyGroup& group,
-                                 std::uint64_t min_epoch) {
-  // A queued batch must not outlive its epoch: send it under the old
-  // line before the new one starts.
-  flush_pending_append(group);
-  std::uint64_t epoch = std::max<std::uint64_t>(min_epoch, 1);
-  const auto it = retired_epochs_.find(group);
-  if (it != retired_epochs_.end()) epoch = std::max(epoch, it->second + 1);
-  logs_.insert_or_assign(group, repl::GroupLog(epoch, 0));
-  note(obs::Kind::kEpochBump, group, epoch);
-  drop_pending_commits(group);
-  // A new line's baseline must hit the disk before any of its WAL
-  // records: recovery anchors the replay on it (the state adopted
-  // with the group — a split's share, a handoff, a promoted replica —
-  // never went through log_op, so only the snapshot carries it).
-  if (const ServerTableEntry* entry = table_.find(group);
-      entry != nullptr && entry->active) {
-    persist_group_snapshot(*entry, /*checkpoint=*/false);
-  }
-}
-
-void ClashServer::drop_pending_commits(const KeyGroup& group) {
-  const auto it = pending_commits_.find(group);
-  if (it == pending_commits_.end()) return;
-  hub_.journal.abort(it->second.op, env_.now().usec);
-  pending_commits_.erase(it);
-}
-
-void ClashServer::drop_group_log(const KeyGroup& group) {
-  flush_pending_append(group);
-  drop_pending_commits(group);
-  const auto it = logs_.find(group);
-  if (it == logs_.end()) return;
-  retired_epochs_[group] = it->second.epoch();
-  if (durable()) {
-    storage_->drop_group(group, it->second.epoch(), env_.now());
-  }
-  logs_.erase(it);
-}
-
-void ClashServer::log_op(const KeyGroup& group, repl::LogOp op) {
-  const bool replicating = log_replication();
-  if (!replicating && !durable()) return;
-  auto lit = logs_.find(group);
-  if (lit == logs_.end()) {
-    init_group_log(group, 1);
-    lit = logs_.find(group);
-  }
-  repl::GroupLog& log = lit->second;
-
-  if (replicating) {
-    // One ReplAppend frame per group per dispatch tick: the transport
-    // already coalesces writes, but encode/decode cost is per message,
-    // so ops accumulate here and flush at the tick boundary. A
-    // synchronous env runs the deferred flush inline — per-op
-    // delivery, exactly the old behaviour.
-    auto [pit, fresh] = pending_appends_.try_emplace(group);
-    if (fresh) {
-      pit->second.epoch = log.epoch();
-      pit->second.base_seq = log.head().seq;
-    }
-    if (pit->second.trace_id == 0) pit->second.trace_id = active_trace_;
-    pit->second.entries.push_back(op);
-  }
-  // Append-on-mutate, WAL first: the op is durable (per the fsync
-  // policy) before the in-memory log observes it.
-  const repl::LogHead head{log.epoch(), log.head().seq + 1};
-  if (durable()) {
-    meter_storage_bytes(group, storage_->append_op(group, head, op,
-                                                   env_.now()));
-  }
-  log.append(std::move(op));
-  if (replicating && !append_flush_scheduled_) {
-    // Scheduled only after the local append: a synchronous env runs
-    // the deferred flush inline, and the batch must never be sent
-    // ahead of the owner's own log head.
-    append_flush_scheduled_ = true;
-    env_.defer([this] { flush_pending_appends(); });
-  }
-
-  // Bound the retained suffix: cut a fresh snapshot boundary once the
-  // log outgrows the threshold (the snapshot resets every holder, and
-  // on disk advances the WAL truncation floor).
-  if (log.size() > cfg_.log_compact_threshold) {
-    const ServerTableEntry* entry = table_.find(group);
-    if (entry != nullptr && entry->active) {
-      stats_.log_compactions++;
-      if (replicating) {
-        snapshot_group(*entry);
-      } else {
-        persist_group_snapshot(*entry, /*checkpoint=*/true);
-        log.compact();
-      }
-    }
-  }
-}
-
-void ClashServer::send_append_batch(const KeyGroup& group,
-                                    PendingAppend&& batch) {
-  ReplAppend msg;
-  msg.group = group;
-  msg.owner = self_;
-  msg.epoch = batch.epoch;
-  msg.base_seq = batch.base_seq;
-  msg.trace_id = batch.trace_id;
-  msg.entries = std::move(batch.entries);
-  msg.checksum = wire::content_crc(msg);  // trace_id set first: covered
-  const auto targets = replica_set(group);
-  std::uint64_t wire = kMsgOverheadBytes;
-  for (const auto& op : msg.entries) wire += approx_op_bytes(op);
-  bool fanned_out = false;
-  for (const ServerId target : targets) {
-    if (target != self_) {
-      fanned_out = true;
-      meter_repl_bytes(group, wire);
-    }
-  }
-  if (fanned_out) {
-    // Register the in-flight head *before* sending: a synchronous env
-    // delivers the holders' acks re-entrantly inside env_.send.
-    auto& pending = pending_commits_[group];
-    if (pending.batches.empty()) {
-      // Queue going empty -> non-empty opens the group's replication
-      // op; the last draining ack ends it.
-      const ServerId first_peer =
-          *std::find_if(targets.begin(), targets.end(),
-                        [this](ServerId t) { return t != self_; });
-      pending.op =
-          begin_op(obs::Kind::kReplAppend, group, first_peer, 0, msg.trace_id);
-    }
-    pending.batches.push_back(PendingCommit{
-        msg.epoch, msg.base_seq + msg.entries.size(), env_.now(),
-        msg.trace_id});
-    if (pending.batches.size() > 4096) pending.batches.pop_front();
-  }
-  for (const ServerId target : targets) {
-    if (target != self_) env_.send(target, msg);
-  }
-}
-
-void ClashServer::flush_pending_appends() {
-  append_flush_scheduled_ = false;
-  // Move the batches out first: sending can re-enter log paths.
-  auto pending = std::exchange(pending_appends_, {});
-  for (auto& [group, batch] : pending) {
-    send_append_batch(group, std::move(batch));
-  }
-}
-
-void ClashServer::flush_pending_append(const KeyGroup& group) {
-  const auto it = pending_appends_.find(group);
-  if (it == pending_appends_.end()) return;
-  PendingAppend batch = std::move(it->second);
-  pending_appends_.erase(it);
-  send_append_batch(group, std::move(batch));
+void ClashServer::forget_costs_unless_active(const KeyGroup& group) {
+  const ServerTableEntry* entry = table_.find(group);
+  if (entry == nullptr || !entry->active) group_costs_.erase(group);
 }
 
 bool ClashServer::append_app_delta(const KeyGroup& group,
                                    std::vector<std::uint8_t> delta) {
   const ServerTableEntry* entry = table_.find(group);
   if (entry == nullptr || !entry->active) return false;
-  log_op(group, repl::LogOp::app_delta_op(std::move(delta)));
+  repl_.logged(group, repl::LogOp::app_delta_op(std::move(delta)));
   return true;
-}
-
-void ClashServer::snapshot_group(const ServerTableEntry& entry) {
-  auto lit = logs_.find(entry.group);
-  if (lit == logs_.end()) {
-    init_group_log(entry.group, 1);
-    lit = logs_.find(entry.group);
-  }
-  // The snapshot defines the new compaction boundary at the current
-  // head; anyone behind it is repaired by the snapshot itself.
-  lit->second.compact();
-  persist_group_snapshot(entry, /*checkpoint=*/true);
-  for (const ServerId target : replica_set(entry.group)) {
-    if (target != self_) send_snapshot_to(target, entry);
-  }
-}
-
-void ClashServer::send_snapshot_to(ServerId to,
-                                   const ServerTableEntry& entry) {
-  const auto lit = logs_.find(entry.group);
-  const repl::LogHead head =
-      lit != logs_.end() ? lit->second.head() : repl::LogHead{1, 0};
-  static const GroupState kEmpty;
-  const auto st = state_.find(entry.group);
-  const GroupState& gs = st != state_.end() ? st->second : kEmpty;
-  std::vector<std::uint8_t> app;
-  if (app_hooks_ != nullptr) app = app_hooks_->snapshot_state(entry.group);
-  send_state_snapshot(to, entry.group, gs, head, entry.root, entry.parent,
-                      self_, app, {});
-}
-
-void ClashServer::send_state_snapshot(
-    ServerId to, const KeyGroup& group, const GroupState& st,
-    repl::LogHead head, bool root, ServerId parent, ServerId owner,
-    const std::vector<std::uint8_t>& app_state,
-    const std::vector<std::vector<std::uint8_t>>& app_deltas) {
-  const std::size_t per_chunk = std::max(1u, cfg_.snapshot_chunk_objects);
-  const std::size_t objects = st.streams.size() + st.queries.size();
-  const auto total =
-      std::uint32_t(std::max<std::size_t>(1, (objects + per_chunk - 1) /
-                                                 per_chunk));
-  // Every transfer gets a correlation id: the active trace when the
-  // snapshot is a consequence of a traced op, a fresh one otherwise
-  // (| 1 keeps it nonzero), so offer, chunks, and the receiver's
-  // install span stitch into one flow.
-  const std::uint64_t trace_id =
-      active_trace_ != 0 ? active_trace_ : (rng_.next() | 1);
-  SnapshotOffer offer;
-  offer.group = group;
-  offer.owner = owner;
-  offer.head = head;
-  offer.root = root;
-  offer.parent = parent;
-  offer.total_chunks = total;
-  offer.trace_id = trace_id;
-  meter_repl_bytes(group, kMsgOverheadBytes);
-  OutboundSnapshot out;
-  out.op = begin_op(obs::Kind::kSnapshotOut, group, to, total, trace_id);
-  env_.send(to, offer);
-
-  // Pre-cut the chunks into an outbound cursor instead of blasting
-  // them all now: pump_snapshots drains the cursor as fast as the
-  // destination's budget allows (unbounded in the sync sim; queue-depth
-  // driven over TCP) and resumes when the transport drains. A restart
-  // for the same (to, group) replaces any unfinished transfer.
-  out.chunks.reserve(total);
-  auto stream_it = st.streams.begin();
-  auto query_it = st.queries.begin();
-  for (std::uint32_t idx = 0; idx < total; ++idx) {
-    SnapshotChunk chunk;
-    chunk.group = group;
-    chunk.head = head;
-    chunk.index = idx;
-    chunk.total = total;
-    chunk.trace_id = trace_id;  // before the CRC stamp below
-    std::size_t in_chunk = 0;
-    while (in_chunk < per_chunk && stream_it != st.streams.end()) {
-      chunk.streams.push_back(stream_it->second);
-      ++stream_it;
-      ++in_chunk;
-    }
-    while (in_chunk < per_chunk && query_it != st.queries.end()) {
-      chunk.queries.push_back(query_it->second);
-      ++query_it;
-      ++in_chunk;
-    }
-    if (idx == 0) {  // app payload rides whole on the first chunk
-      chunk.app_state = app_state;
-      chunk.app_deltas = app_deltas;
-    }
-    chunk.checksum = wire::content_crc(chunk);
-    out.chunks.push_back(std::move(chunk));
-  }
-  // A restart for the same (to, group) replaces the cursor below:
-  // abort the superseded transfer's op first.
-  if (const auto oit = outbound_snapshots_.find({to, group});
-      oit != outbound_snapshots_.end()) {
-    hub_.journal.abort(oit->second.op, env_.now().usec, to.value);
-  }
-  outbound_snapshots_[{to, group}] = std::move(out);
-  pump_snapshots();
-}
-
-std::size_t ClashServer::pump_snapshots() {
-  // A chunk delivery can nack synchronously and restart the very
-  // transfer being pumped (the map entry is replaced or erased under
-  // the loop), so: no held iterators across sends, and no nested
-  // pumps — the outermost loop re-finds each entry per chunk and
-  // naturally picks up a restarted cursor.
-  if (pumping_snapshots_) return outbound_snapshots_.size();
-  pumping_snapshots_ = true;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    std::vector<std::pair<ServerId, KeyGroup>> keys;
-    keys.reserve(outbound_snapshots_.size());
-    for (const auto& [key, _] : outbound_snapshots_) keys.push_back(key);
-    for (const auto& key : keys) {
-      std::size_t budget = env_.snapshot_chunk_budget(key.first);
-      for (;;) {
-        const auto it = outbound_snapshots_.find(key);
-        if (it == outbound_snapshots_.end()) break;  // cancelled mid-pump
-        OutboundSnapshot& out = it->second;
-        if (out.next >= out.chunks.size()) {
-          hub_.journal.end(out.op, env_.now().usec, out.chunks.size());
-          outbound_snapshots_.erase(it);
-          break;
-        }
-        if (budget == 0) break;
-        --budget;
-        progress = true;
-        meter_repl_bytes(key.second,
-                         approx_chunk_bytes(out.chunks[out.next]));
-        Message msg(std::move(out.chunks[out.next]));
-        ++out.next;
-        // Copy the handle out: the send may re-enter and replace or
-        // erase this very map entry (stale handles are ignored).
-        const obs::Op op = out.op;
-        env_.send(key.first, msg);
-        hub_.journal.progress(op, env_.now().usec);
-      }
-    }
-    if (outbound_snapshots_.empty()) break;
-  }
-  pumping_snapshots_ = false;
-  return outbound_snapshots_.size();
-}
-
-void ClashServer::cancel_outbound_snapshot(ServerId to,
-                                           const KeyGroup& group) {
-  const auto it = outbound_snapshots_.find({to, group});
-  if (it == outbound_snapshots_.end()) return;
-  hub_.journal.abort(it->second.op, env_.now().usec, to.value);
-  outbound_snapshots_.erase(it);
-}
-
-void ClashServer::cancel_outbound_snapshots(const KeyGroup& group) {
-  for (auto it = outbound_snapshots_.begin();
-       it != outbound_snapshots_.end();) {
-    if (it->first.second == group) {
-      hub_.journal.abort(it->second.op, env_.now().usec,
-                         it->first.first.value);
-      it = outbound_snapshots_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ClashServer::send_anti_entropy() {
-  std::map<ServerId, std::vector<GroupHead>> per_holder;
-  for (const ServerTableEntry* e : table_.active_entries()) {
-    const auto lit = logs_.find(e->group);
-    if (lit == logs_.end()) {
-      snapshot_group(*e);  // missing log: heal with a fresh snapshot
-      continue;
-    }
-    const auto head = lit->second.head();
-    for (const ServerId target : replica_set(e->group)) {
-      if (target != self_) {
-        per_holder[target].push_back(GroupHead{e->group, head});
-      }
-    }
-  }
-  for (auto& [holder, heads] : per_holder) {
-    env_.send(holder, AntiEntropyProbe{self_, std::move(heads)});
-  }
-}
-
-void ClashServer::handle_repl_append(ServerId from, const ReplAppend& m) {
-  const TraceScope trace(active_trace_, m.trace_id);
-  // Corruption fences, before any state is touched. The content CRC
-  // catches in-flight byte flips that survive the codec's structural
-  // checks; the seq overflow guard catches a base_seq flipped into
-  // wrap-around territory. Rejected appends are simply dropped — no
-  // nack, because a nack would trigger repair off a forged head; the
-  // sender's anti-entropy probe re-syncs us on the next period.
-  if ((m.checksum != 0 && m.checksum != wire::content_crc(m)) ||
-      m.base_seq + m.entries.size() < m.base_seq) {
-    stats_.corrupt_rejected++;
-    corrupt_rejected_total_.inc();
-    note(obs::Kind::kCorruptReject, m.group);
-    return;
-  }
-  // Never apply replica traffic to a group this server actively owns
-  // (a stale owner racing a promotion).
-  if (const auto* entry = table_.find(m.group);
-      entry != nullptr && entry->active) {
-    return;
-  }
-  const auto it = replicas_.find(m.group);
-  if (it == replicas_.end()) {
-    // No base to apply deltas onto: nack so the sender repairs us.
-    send_nack(from, m.group, repl::LogHead{});
-    return;
-  }
-  ReplicaRecord& rec = it->second;
-  rec.refreshed = env_.now();
-  const repl::LogHead tip{m.epoch, m.base_seq + m.entries.size()};
-  if (rec.advertised < tip) rec.advertised = tip;
-  if (m.owner.valid()) rec.owner = m.owner;
-
-  const repl::LogHead head = rec.log.head();
-  if (m.epoch != head.epoch || m.base_seq > head.seq) {
-    if (rec.pending) {
-      // A snapshot assembly is already in flight for this group: it
-      // will re-anchor us past this gap, so stay quiet. Nacking here
-      // would make the sender cancel and restart that very transfer —
-      // under paced TCP streaming, every routine append during a long
-      // transfer would reset it and it could never complete.
-      return;
-    }
-    // Epoch change or a gap: nack with our real head; the sender
-    // diffs us forward (suffix or snapshot).
-    send_nack(from, m.group, head);
-    return;
-  }
-  // Skip the overlap (idempotent re-delivery), apply the rest.
-  const std::size_t skip = std::size_t(head.seq - m.base_seq);
-  for (std::size_t i = skip; i < m.entries.size(); ++i) {
-    const repl::LogOp& op = m.entries[i];
-    repl::GroupLog::apply(op, rec.state);
-    if (op.kind == repl::OpKind::kAppDelta) {
-      rec.app_tail.push_back(op.app_delta);
-    }
-    rec.log.append(op);
-  }
-  const std::size_t applied =
-      m.entries.size() > skip ? m.entries.size() - skip : 0;
-  if (applied > 0) {
-    note(obs::Kind::kReplApply, m.group, applied);
-    if (recovery_.active(m.group)) {
-      recovery_.note_entries_repaired(m.group, applied);
-      progress_recovery_op(m.group, applied);
-    }
-  }
-  owe_ack(from, m.group, rec.log.head());
-}
-
-void ClashServer::send_nack(ServerId to, const KeyGroup& group,
-                            repl::LogHead head) {
-  env_.send(to, ReplAck{{GroupHead{group, head}}, false});
-}
-
-void ClashServer::owe_ack(ServerId to, const KeyGroup& group,
-                          repl::LogHead head) {
-  owed_acks_[to][group] = head;
-  if (ack_flush_timer_ != 0) return;
-  // A synchronous env flushes inline and returns 0: nothing stays armed.
-  ack_flush_timer_ =
-      env_.defer_after(kAckWindow, [this] { flush_owed_acks(); });
-}
-
-void ClashServer::flush_owed_acks() {
-  ack_flush_timer_ = 0;
-  // Move the map out first: a synchronous env delivers each ack
-  // re-entrantly, and the owner's reaction can owe us new acks.
-  const auto owed = std::exchange(owed_acks_, {});
-  for (const auto& [peer, groups] : owed) {
-    ReplAck ack;
-    ack.heads.reserve(groups.size());
-    for (const auto& [group, head] : groups) {
-      ack.heads.push_back(GroupHead{group, head});
-    }
-    env_.send(peer, ack);
-  }
-}
-
-void ClashServer::handle_repl_ack(ServerId from, const ReplAck& m) {
-  for (const GroupHead& gh : m.heads) {
-    if (m.ok) {
-      commit_acked(gh.group, gh.head);
-      continue;
-    }
-    // A nack asks for repair, served from the owner log or, on a
-    // non-owner (peer recovery), from the replica record. It also
-    // aborts any snapshot still streaming to that peer for the group —
-    // the receiver tore down its assembly, so the unsent chunks would
-    // only be nacked again; repair restarts the transfer from scratch.
-    cancel_outbound_snapshot(from, gh.group);
-    repair_peer(from, gh.group, gh.head);
-  }
-}
-
-void ClashServer::commit_acked(const KeyGroup& group,
-                               const repl::LogHead& head) {
-  // The first positive ack at or past an in-flight batch head commits
-  // it: record ReplAppend -> ReplAck latency (later acks for the same
-  // head find the deque already drained).
-  const auto it = pending_commits_.find(group);
-  if (it == pending_commits_.end()) return;
-  auto& batches = it->second.batches;
-  const SimTime now = env_.now();
-  while (!batches.empty() && batches.front().epoch == head.epoch &&
-         batches.front().seq <= head.seq) {
-    const PendingCommit& c = batches.front();
-    commit_latency_us_.record_signed((now - c.sent).usec);
-    if (hub_.journal.recording(obs::Kind::kCommit)) {
-      hub_.journal.span(obs::Kind::kCommit, node_id(), c.sent.usec, now.usec,
-                        group_tag(group), c.seq, c.trace_id);
-    }
-    batches.pop_front();
-  }
-  if (batches.empty()) {
-    hub_.journal.end(it->second.op, now.usec);
-    pending_commits_.erase(it);
-  } else {
-    hub_.journal.progress(it->second.op, now.usec);
-  }
-}
-
-void ClashServer::handle_snapshot_offer(ServerId from,
-                                        const SnapshotOffer& m) {
-  // Sanity fence: no legitimate snapshot approaches a million chunks
-  // (the pacer would never finish one); a count that large is a
-  // corrupted or hostile offer and would wedge the assembly forever
-  // waiting for chunks that do not exist.
-  constexpr std::uint32_t kMaxSaneChunks = 1u << 20;
-  if (m.total_chunks == 0 || m.total_chunks > kMaxSaneChunks) {
-    stats_.corrupt_rejected++;
-    corrupt_rejected_total_.inc();
-    note(obs::Kind::kCorruptReject, m.group);
-    return;
-  }
-  if (const auto* entry = table_.find(m.group);
-      entry != nullptr && entry->active) {
-    return;
-  }
-  ReplicaRecord& rec = replicas_[m.group];
-  rec.refreshed = env_.now();
-  if (rec.pending && !(rec.pending->head < m.head)) {
-    // A transfer is mid-flight and this offer is not strictly fresher:
-    // a duplicate or competing offer for the same head must not
-    // discard the chunks already assembled — overwriting the record
-    // here desyncs the chunk cursor and loses the whole transfer.
-    // Only a strictly newer head (a snapshot superseding the one in
-    // flight) preempts the assembly.
-    stats_.snapshot_offers_ignored++;
-    return;
-  }
-  if (rec.pending) {
-    // A strictly fresher offer preempts the assembly in flight; its op
-    // must not outlive the record it tracked.
-    hub_.journal.abort(rec.pending->op, env_.now().usec,
-                       rec.pending->owner.value);
-  }
-  ReplicaRecord::PendingSnapshot pending;
-  pending.head = m.head;
-  pending.owner = m.owner;
-  pending.root = m.root;
-  pending.parent = m.parent;
-  pending.total = m.total_chunks;
-  pending.op = begin_op(obs::Kind::kSnapshotIn, m.group, from,
-                        m.total_chunks, m.trace_id);
-  rec.pending = std::move(pending);
-  rec.last_nacked = repl::LogHead{};  // the new stream starts clean
-}
-
-void ClashServer::handle_snapshot_chunk(ServerId from,
-                                        const SnapshotChunk& m) {
-  // Corruption fence first: installing a flipped stream rate or query
-  // id into a pending assembly would poison the replica at promotion.
-  // Dropping the chunk desyncs the stream, and the *next* chunk's
-  // index mismatch nacks the transfer into a clean restart.
-  if (m.checksum != 0 && m.checksum != wire::content_crc(m)) {
-    stats_.corrupt_rejected++;
-    corrupt_rejected_total_.inc();
-    note(obs::Kind::kCorruptReject, m.group);
-    return;
-  }
-  if (const auto* entry = table_.find(m.group);
-      entry != nullptr && entry->active) {
-    return;
-  }
-  const auto it = replicas_.find(m.group);
-  if (it == replicas_.end()) return;  // offer was never seen
-  ReplicaRecord& rec = it->second;
-  rec.refreshed = env_.now();
-  if (!rec.pending && rec.last_nacked == m.head) {
-    return;  // remnants of a transfer already nacked: stay silent
-  }
-  if (rec.pending && rec.pending->head == m.head &&
-      m.total == rec.pending->total && m.index < rec.pending->received) {
-    return;  // duplicated frame of an already-applied chunk: idempotent
-  }
-  if (!rec.pending || rec.pending->head != m.head ||
-      m.index != rec.pending->received || m.total != rec.pending->total) {
-    // Stream out of sync (lost, reordered, or never-offered chunk):
-    // tear the assembly down and nack with our real head so the sender
-    // restarts NOW — staying silent would leave it streaming a dead
-    // transfer while recovery waits out a full anti-entropy period.
-    if (rec.pending) {
-      hub_.journal.abort(rec.pending->op, env_.now().usec, from.value);
-    }
-    rec.pending.reset();
-    rec.last_nacked = m.head;
-    stats_.snapshot_aborts++;
-    send_nack(from, m.group, rec.log.head());
-    return;
-  }
-  ReplicaRecord::PendingSnapshot& p = *rec.pending;
-  for (const auto& s : m.streams) {
-    // A re-delivered stream replaces its map entry; its rate must not
-    // accumulate twice (subtract what the overwritten entry carried).
-    auto [sit, inserted] = p.state.streams.try_emplace(s.source, s);
-    if (!inserted) {
-      p.state.stream_rate -= sit->second.rate;
-      sit->second = s;
-    }
-    p.state.stream_rate += s.rate;
-  }
-  for (const auto& q : m.queries) p.state.queries[q.id] = q;
-  p.app_state.insert(p.app_state.end(), m.app_state.begin(),
-                     m.app_state.end());
-  for (const auto& d : m.app_deltas) p.app_deltas.push_back(d);
-  ++p.received;
-  hub_.journal.progress(p.op, env_.now().usec);
-  if (p.received < p.total) return;
-
-  // Complete: install the image and re-anchor the retained log.
-  rec.owner = p.owner;
-  rec.root = p.root;
-  rec.parent = p.parent;
-  rec.state = std::move(p.state);
-  rec.app_snapshot = std::move(p.app_state);
-  rec.app_tail = std::move(p.app_deltas);
-  rec.log.reset(m.head.epoch, m.head.seq);
-  if (rec.advertised < m.head) rec.advertised = m.head;
-  snapshot_install_us_.record_signed(env_.now().usec - p.op.start_us);
-  hub_.journal.end(p.op, env_.now().usec, p.total);
-  rec.pending.reset();
-  if (recovery_.active(m.group)) {
-    recovery_.note_snapshot_pulled(m.group);
-    progress_recovery_op(m.group, 1);
-  }
-  owe_ack(from, m.group, rec.log.head());
-}
-
-void ClashServer::handle_ae_probe(ServerId from, const AntiEntropyProbe& m) {
-  AntiEntropyDiff diff;
-  for (const GroupHead& gh : m.heads) {
-    if (const auto* entry = table_.find(gh.group);
-        entry != nullptr && entry->active) {
-      continue;  // both sides claim ownership; promotion sorts it out
-    }
-    const auto it = replicas_.find(gh.group);
-    if (it == replicas_.end()) {
-      diff.behind.push_back(GroupHead{gh.group, repl::LogHead{}});
-      continue;
-    }
-    ReplicaRecord& rec = it->second;
-    rec.refreshed = env_.now();
-    if (rec.advertised < gh.head) rec.advertised = gh.head;
-    if (m.owner.valid()) rec.owner = m.owner;
-    const auto head = rec.log.head();
-    if (head == gh.head) continue;
-    if (head.epoch == gh.head.epoch && head < gh.head) {
-      diff.behind.push_back(GroupHead{gh.group, head});
-    } else {
-      // Epoch drift in either direction: our copy belongs to a dead
-      // ownership line — the probing owner is the authority, resync
-      // from scratch.
-      diff.behind.push_back(GroupHead{gh.group, repl::LogHead{}});
-    }
-  }
-  if (!diff.behind.empty()) env_.send(from, diff);
-}
-
-void ClashServer::handle_ae_diff(ServerId from, const AntiEntropyDiff& m) {
-  for (const GroupHead& gh : m.behind) repair_peer(from, gh.group, gh.head);
-}
-
-void ClashServer::repair_peer(ServerId to, const KeyGroup& group,
-                              repl::LogHead have) {
-  // Active-owner path: repair from the authoritative log.
-  const ServerTableEntry* entry = table_.find(group);
-  if (entry != nullptr && entry->active) {
-    const auto lit = logs_.find(group);
-    if (lit == logs_.end()) return;  // no log yet: nothing to diff
-    repl::GroupLog& log = lit->second;
-    std::vector<repl::LogOp> out;
-    if (have.epoch == log.epoch() && log.suffix_from(have.seq, out)) {
-      if (!out.empty()) {
-        std::uint64_t wire = kMsgOverheadBytes;
-        for (const auto& op : out) wire += approx_op_bytes(op);
-        meter_repl_bytes(group, wire);
-        ReplAppend repair{group, self_, log.epoch(), have.seq,
-                          active_trace_, std::move(out)};
-        repair.checksum = wire::content_crc(repair);
-        env_.send(to, repair);
-      }
-    } else {
-      send_snapshot_to(to, *entry);
-    }
-    return;
-  }
-  // Peer path (owner dead, a promoting heir is pulling): repair from
-  // our replica when it is strictly fresher than the requester.
-  const auto rit = replicas_.find(group);
-  if (rit == replicas_.end()) return;
-  ReplicaRecord& rec = rit->second;
-  const auto head = rec.log.head();
-  if (!(have < head)) return;
-  std::vector<repl::LogOp> out;
-  if (have.epoch == head.epoch && rec.log.suffix_from(have.seq, out)) {
-    if (!out.empty()) {
-      ReplAppend repair{group, rec.owner, head.epoch, have.seq,
-                        active_trace_, std::move(out)};
-      repair.checksum = wire::content_crc(repair);
-      env_.send(to, repair);
-    }
-    return;
-  }
-  // The requester predates our retained suffix: ship a peer-built
-  // snapshot — object state at our head, app snapshot + delta tail.
-  send_state_snapshot(to, group, rec.state, head, rec.root, rec.parent,
-                      rec.owner, rec.app_snapshot, rec.app_tail);
-}
-
-void ClashServer::begin_group_recovery(const KeyGroup& group) {
-  if (!log_replication()) return;
-  if (const auto* entry = table_.find(group);
-      entry != nullptr && entry->active) {
-    return;
-  }
-  const auto it = replicas_.find(group);
-  const repl::LogHead start =
-      it != replicas_.end() ? it->second.log.head() : repl::LogHead{};
-  if (!recovery_.begin(group, start)) return;  // probes already out
-  recovery_ops_[group] =
-      begin_op(obs::Kind::kRecoveryPull, group, ServerId{0});
-  const AntiEntropyDiff pull{{GroupHead{group, start}}};
-  for (const ServerId peer : replica_set(group)) {
-    if (peer != self_) env_.send(peer, pull);
-  }
-}
-
-std::optional<repl::LogHead> ClashServer::log_head(
-    const KeyGroup& group) const {
-  const auto it = logs_.find(group);
-  if (it == logs_.end()) return std::nullopt;
-  return it->second.head();
-}
-
-std::optional<repl::LogHead> ClashServer::replica_head(
-    const KeyGroup& group) const {
-  const auto it = replicas_.find(group);
-  if (it == replicas_.end()) return std::nullopt;
-  return it->second.log.head();
-}
-
-const GroupState* ClashServer::replica_state(const KeyGroup& group) const {
-  const auto it = replicas_.find(group);
-  return it == replicas_.end() ? nullptr : &it->second.state;
 }
 
 std::size_t ClashServer::handoff_groups(ServerId to) {
@@ -1604,8 +653,8 @@ std::size_t ClashServer::handoff_groups(ServerId to) {
     msg.group = mv.group;
     msg.parent = mv.parent;
     msg.root = mv.root;
-    const auto lit = logs_.find(mv.group);
-    msg.epoch = lit != logs_.end() ? lit->second.epoch() : 0;
+    const auto head = repl_.log_head(mv.group);
+    msg.epoch = head ? head->epoch : 0;
     GroupState st;
     const auto sit = state_.find(mv.group);
     if (sit != state_.end()) {
@@ -1625,7 +674,7 @@ std::size_t ClashServer::handoff_groups(ServerId to) {
     table_.erase(mv.group);
     child_reports_.erase(mv.group);
     note_group_deactivated(mv.group);
-    retire_replicas(mv.group);
+    retire_group(mv.group);
     stats_.state_transfer_msgs += state_msgs_for(msg.queries.size());
     stats_.handoffs++;
     env_.send(to, std::move(msg));
@@ -1642,96 +691,30 @@ void ClashServer::on_ring_change(const dht::ChordRing& ring,
     if (to != self_) targets.insert(to);
   }
   for (const ServerId to : targets) handoff_groups(to);
-  if (log_replication()) send_anti_entropy();
-
-  std::vector<KeyGroup> orphans;
-  for (const auto& [group, rec] : replicas_) {
-    if (orphaned_here(ring, group, adopt_restored_)) orphans.push_back(group);
-  }
-  adopt_restored_ = false;
-  for (const KeyGroup& group : orphans) {
-    if (!log_replication()) {
-      (void)promote_replica(group);
-      continue;
-    }
-    if (recovery_.active(group)) continue;  // its grace is already running
-    // Probe the holders now so the freshest can stream the missing
-    // suffix during the grace. An owner back on the ring, or a ring
-    // that moved the group on, cancels: promoting anyway would leave
-    // two owners, the fenced-out epoch winning.
-    begin_group_recovery(group);
-    env_.defer_after(grace, [this, &ring, group] {
-      if (orphaned_here(ring, group, /*restored=*/true)) {
-        (void)promote_replica(group);
-      } else {
-        abandon_group_recovery(group);
-      }
-    });
-  }
-}
-
-bool ClashServer::orphaned_here(const dht::ChordRing& ring,
-                                const KeyGroup& group, bool restored) const {
-  const auto it = replicas_.find(group);
-  if (it == replicas_.end() ||
-      ring.map(hasher_.hash_key(group.virtual_key())) != self_) {
-    return false;
-  }
-  const ServerId owner = it->second.owner;
-  return owner == self_ ? restored : !ring.contains(owner);
+  repl_.ring_changed(ring, grace);
 }
 
 bool ClashServer::promote_replica(const KeyGroup& group) {
-  // Stale or duplicate promotion requests must never corrupt the
-  // table: refuse when any entry for (or active entry overlapping) the
-  // group already exists here. Any recovery session opened for the
-  // promotion is dropped with it, or it would suppress the peer
-  // probes of every future recovery of this group.
-  if (const auto* existing = table_.find(group)) {
-    abandon_group_recovery(group);
-    return existing->active;
+  auto taken = repl_.take_for_promotion(group);
+  if (!taken) {
+    const ServerTableEntry* existing = table_.find(group);
+    return existing != nullptr && existing->active;
   }
-  for (const ServerTableEntry* e : table_.active_entries()) {
-    if (e->group.covers(group) || group.covers(e->group)) {
-      CLASH_WARN << to_string(self_) << ": refusing promotion of "
-                 << group.label() << " (overlaps active "
-                 << e->group.label() << ")";
-      abandon_group_recovery(group);
-      return false;
-    }
-  }
-  // Pull the freshest suffix from the surviving holders before
-  // installing anything: a replica that lags the highest advertised
-  // head is repaired (or superseded by a fresher peer), never silently
-  // promoted. Synchronous transports complete the repair inside
-  // begin_group_recovery; on TCP, on_ring_change opened the session
-  // when its grace began. A durable-only node (factor 0) opens no
-  // session: its record is its own disk image (restore_from_storage).
-  begin_group_recovery(group);
-
-  const auto it = replicas_.find(group);
-  const bool recovered = it != replicas_.end();
-
+  std::optional<repl::GroupImage>& image = taken->image;
   ServerTableEntry entry;
   entry.group = group;
   entry.active = true;
-  entry.root = !recovered || it->second.root;  // no replica: lineage unknown
-  if (recovered) entry.parent = it->second.parent;
+  entry.root = !image || image->root;  // no replica: lineage unknown
+  if (image) entry.parent = image->parent;
   table_.insert(entry);
-  repl::LogHead head;
-  repl::LogHead advertised;
-  if (recovered) {
-    ReplicaRecord& rec = it->second;
-    head = rec.log.head();
-    advertised = rec.advertised;
-    state_[group] = std::move(rec.state);
+  if (image) {
+    state_[group] = std::move(image->state);
     if (app_hooks_ != nullptr) {
-      if (!rec.app_snapshot.empty()) {
-        app_hooks_->import_state(group, rec.app_snapshot);
+      if (!image->app_state.empty()) {
+        app_hooks_->import_state(group, image->app_state);
       }
-      for (const auto& d : rec.app_tail) app_hooks_->apply_delta(group, d);
+      for (const auto& d : image->app_deltas) app_hooks_->apply_delta(group, d);
     }
-    erase_replica(it);
   } else {
     // No replica anywhere: adopt the bare group so the key space stays
     // covered.
@@ -1740,20 +723,8 @@ bool ClashServer::promote_replica(const KeyGroup& group) {
   }
   note_group_activated(group);
   stats_.failovers++;
-  recovery_.finish(group, head, advertised);
-  if (const auto rs = recovery_ops_.find(group); rs != recovery_ops_.end()) {
-    failover_us_.record_signed(env_.now().usec - rs->second.start_us);
-    hub_.journal.end(rs->second, env_.now().usec, recovered ? 1 : 0);
-    recovery_ops_.erase(rs);
-  }
-  // New ownership line: the epoch rises above anything ever advertised
-  // and the (new) replica set gets an immediate snapshot, so a second
-  // failure in this period still finds fresh holders.
-  if (log_replication() || durable()) {
-    init_group_log(group, std::max(head.epoch, advertised.epoch) + 1);
-  }
-  if (log_replication()) snapshot_group(entry);
-  return recovered;
+  repl_.activated(entry, taken->min_epoch);
+  return image.has_value();
 }
 
 GroupState ClashServer::extract_subset(GroupState& st,

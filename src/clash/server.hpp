@@ -1,17 +1,19 @@
-// ClashServer: the server side of the protocol (Sections 4 and 5).
-// Transport-agnostic: all I/O goes through ServerEnv, so the same logic
-// runs under the discrete-event simulator, unit tests, and the TCP
-// deployment layer.
+// ClashServer: the server side of the protocol (Sections 4 and 5):
+// accept, split, merge, reclaim, load reports, and the ring-change
+// handoff. Transport-agnostic: all I/O goes through ServerEnv, so the
+// same logic runs under the discrete-event simulator, unit tests, and
+// the TCP deployment layer. Replication and durability (this
+// repository's fault-tolerance extension) live in the member
+// repl::Replicator (replicator()), which the protocol drives through
+// group-lifecycle calls only.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <optional>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "clash/config.hpp"
@@ -24,16 +26,11 @@
 #include "common/types.hpp"
 #include "dht/dht.hpp"
 #include "obs/hub.hpp"
-#include "repl/log.hpp"
-#include "repl/recovery.hpp"
+#include "repl/replicator.hpp"
 
 namespace clash::dht {
 class ChordRing;
 }  // namespace clash::dht
-
-namespace clash::storage {
-class NodeStore;
-}  // namespace clash::storage
 
 namespace clash {
 
@@ -67,8 +64,8 @@ class ServerEnv {
   /// suits synchronous simulators, which deliver instantly; the TCP
   /// layer derives the budget from the peer connection's outbound
   /// queue depth so huge snapshots never bury a socket, and
-  /// ClashServer::pump_snapshots resumes paused transfers as the
-  /// queue drains.
+  /// Replicator::pump_snapshots resumes paused transfers as the queue
+  /// drains.
   [[nodiscard]] virtual std::size_t snapshot_chunk_budget(ServerId to) {
     (void)to;
     return std::numeric_limits<std::size_t>::max();
@@ -76,7 +73,7 @@ class ServerEnv {
 
   /// Run `fn` at the end of the current dispatch tick — the
   /// transport's write-coalescing boundary. Synchronous environments
-  /// have no tick, so the default runs it inline. ClashServer uses
+  /// have no tick, so the default runs it inline. The Replicator uses
   /// this to batch the tick's ReplAppend entries into one frame per
   /// group.
   virtual void defer(std::function<void()> fn) { fn(); }
@@ -84,8 +81,8 @@ class ServerEnv {
   /// Run `fn` once, `delay` from now, and return a handle for
   /// cancel_deferred (0: nothing left to cancel). Synchronous
   /// environments have no timers, so the default runs it inline, the
-  /// same way defer does. ClashServer uses this to batch positive
-  /// replication acks per peer over ClashServer::kAckWindow.
+  /// same way defer does. The Replicator uses this to batch positive
+  /// replication acks per peer over repl::Replicator::kAckWindow.
   virtual std::uint64_t defer_after(SimDuration delay,
                                     std::function<void()> fn) {
     (void)delay;
@@ -164,14 +161,8 @@ class ClashServer {
  public:
   ClashServer(ServerId self, const ClashConfig& cfg, ServerEnv& env,
               dht::KeyHasher hasher);
-  ~ClashServer();
   ClashServer(const ClashServer&) = delete;
   ClashServer& operator=(const ClashServer&) = delete;
-
-  /// How long a replica holds positive ReplAcks before sending them:
-  /// every group head owed to one peer within the window leaves as a
-  /// single cumulative ReplAck. Nacks are never held.
-  static constexpr SimDuration kAckWindow{1000};
 
   [[nodiscard]] ServerId id() const { return self_; }
   [[nodiscard]] const ClashConfig& config() const { return cfg_; }
@@ -231,40 +222,6 @@ class ClashServer {
   /// of the periodic check. Returns false when nothing is splittable.
   bool signal_overload();
 
-  // --- Fault tolerance (replication extension) ------------------------
-  /// The one ring-change rule, called by every transport after it
-  /// edits `ring` and after restore_from_storage (README "Membership &
-  /// failover"). Hands each active group `ring` maps elsewhere to its
-  /// owner (handoff_groups), probes every active group's current
-  /// replica set (send_anti_entropy), and promotes each replica record
-  /// `ring` maps here whose owner is off the ring (or, right after a
-  /// restore, is this server) once `grace` has passed and that still
-  /// holds (ServerEnv::defer_after). Reads `ring` with map/contains
-  /// only (no hops counted); it must outlive a running grace.
-  void on_ring_change(const dht::ChordRing& ring, SimDuration grace);
-
-  /// Promote this server's replica of `group` to active ownership.
-  /// Pulls the freshest suffix from the surviving holders, then
-  /// installs under a bumped epoch. Falls back to an empty root entry
-  /// when no replica exists; returns whether state was recovered.
-  bool promote_replica(const KeyGroup& group);
-
-  // --- Replication & recovery subsystem (src/repl/) -------------------
-  /// True when groups are replicated (the operation log is the one
-  /// replication engine).
-  [[nodiscard]] bool log_replication() const {
-    return cfg_.replication_factor > 0;
-  }
-
-  /// Owner-side log head of an active group.
-  [[nodiscard]] std::optional<repl::LogHead> log_head(
-      const KeyGroup& group) const;
-  /// Replica-side applied head for a group held on behalf of a peer.
-  [[nodiscard]] std::optional<repl::LogHead> replica_head(
-      const KeyGroup& group) const;
-  /// Replica-side object state (introspection for tests/operators).
-  [[nodiscard]] const GroupState* replica_state(const KeyGroup& group) const;
-
   /// Application-pushed opaque state delta: appended to `group`'s log,
   /// streamed to the replica set, and replayed through
   /// AppHooks::apply_delta when a replica is promoted. Returns false
@@ -273,56 +230,41 @@ class ClashServer {
   bool append_app_delta(const KeyGroup& group,
                         std::vector<std::uint8_t> delta);
 
+  // --- Ring changes and failover ------------------------------------------
+  /// The one ring-change rule, called by every transport after it
+  /// edits `ring` and after Replicator::restore_from_storage (README
+  /// "Membership & failover"). Hands each active group `ring` maps
+  /// elsewhere to that member, then lets the Replicator probe the
+  /// replica sets and promote the orphans `ring` maps here
+  /// (Replicator::ring_changed). Reads `ring` with map/contains only
+  /// (no hops counted); it must outlive a running grace.
+  void on_ring_change(const dht::ChordRing& ring, SimDuration grace);
+
+  /// Promote this server's replica of `group` to active ownership: the
+  /// Replicator pulls the freshest suffix from the surviving holders,
+  /// and the group installs under a bumped epoch. Falls back to an
+  /// empty root entry when no replica exists; returns whether state was
+  /// recovered.
+  bool promote_replica(const KeyGroup& group);
+
   /// Hand every active group whose DHT owner is now `to` over to it
   /// with full state (ring re-admission healed the routing — without
   /// this, a rejoined node would serve its key ranges empty). Returns
   /// the number of groups moved.
   std::size_t handoff_groups(ServerId to);
 
-  [[nodiscard]] const repl::RecoveryStats& recovery_stats() const {
-    return recovery_.stats();
+  // --- Replication and durability (src/repl/replicator.hpp) ---------------
+  [[nodiscard]] repl::Replicator& replicator() { return repl_; }
+  [[nodiscard]] const repl::Replicator& replicator() const { return repl_; }
+  /// Owner-side log head of an active group.
+  [[nodiscard]] std::optional<repl::LogHead> log_head(
+      const KeyGroup& group) const {
+    return repl_.log_head(group);
   }
-
-  // --- Durable storage subsystem (src/storage/) ------------------------
-  /// Attach the node's durable store: every owned-group mutation
-  /// appends to its WAL, activations write baseline snapshots, and
-  /// log compaction cuts checkpoint snapshots (kWalSnapshot). Attach
-  /// before any traffic; the store must outlive the server.
-  void set_storage(storage::NodeStore* store) { storage_ = store; }
-
-  /// True when a store is attached and the config enables durability.
-  [[nodiscard]] bool durable() const;
-
-  /// Install the store's recovered pre-crash image as replica records
-  /// (owner = self). The next on_ring_change re-adopts each one the
-  /// ring maps here under a bumped epoch, and the recovery pull fetches
-  /// only the divergent suffix from live holders — not a full
-  /// snapshot. Returns the number of groups restored.
-  std::size_t restore_from_storage();
-
-  /// Resume snapshot transfers that paused on transport backpressure:
-  /// sends as many pending chunks as each destination's budget allows.
-  /// Returns the number of transfers still unfinished. Driven by
-  /// run_load_check and, on the TCP layer, by connection-drain
-  /// callbacks.
-  std::size_t pump_snapshots();
-  [[nodiscard]] bool has_pending_snapshots() const {
-    return !outbound_snapshots_.empty();
-  }
-
-  [[nodiscard]] std::size_t replica_count() const {
-    return replicas_.size();
-  }
-  [[nodiscard]] bool has_replica(const KeyGroup& group) const {
-    return replicas_.count(group) > 0;
-  }
-  /// Groups this server holds replicas of on behalf of `owner`.
-  [[nodiscard]] std::vector<KeyGroup> replicas_owned_by(ServerId owner) const {
-    std::vector<KeyGroup> out;
-    for (const auto& [group, rec] : replicas_) {
-      if (rec.owner == owner) out.push_back(group);
-    }
-    return out;
+  /// Replica-side applied head for a group held on behalf of a peer.
+  [[nodiscard]] std::optional<repl::LogHead> replica_head(
+      const KeyGroup& group) const {
+    return repl_.replica_head(group);
   }
 
   // --- Client RPC (Section 5, three cases) ----------------------------
@@ -362,51 +304,21 @@ class ClashServer {
     SimTime at{0};
   };
 
-  /// on_ring_change's promotion test: a replica record of `group` that
-  /// `ring` maps here, whose owner is off the ring (or is this server
-  /// when `restored`).
-  [[nodiscard]] bool orphaned_here(const dht::ChordRing& ring,
-                                   const KeyGroup& group,
-                                   bool restored) const;
-  /// Open a recovery session for a group about to be promoted here:
-  /// probes the replica set for fresher (epoch, seq) heads so peers can
-  /// stream the missing suffix before promote_replica installs.
-  void begin_group_recovery(const KeyGroup& group);
-  /// Drop an open recovery session without promoting.
-  void abandon_group_recovery(const KeyGroup& group) {
-    recovery_.cancel(group);
-    if (const auto it = recovery_ops_.find(group); it != recovery_ops_.end()) {
-      hub_.journal.abort(it->second, env_.now().usec);
-      recovery_ops_.erase(it);
-    }
-  }
+  // Protocol peer messages (the Replicator takes the replication ones).
+  void handle(ServerId from, const AcceptKeyGroup& m);
+  void handle(ServerId from, const LoadReport& m);
+  void handle(ServerId from, const ReclaimKeyGroup& m);
+  void handle(ServerId from, const ReclaimAck& m);
+  void handle(ServerId from, const ReclaimRefused& m);
+  /// Acknowledgement only; the transfer was already applied locally.
+  void handle(ServerId /*from*/, const AcceptKeyGroupAck& /*m*/) {}
 
-  void handle_accept_keygroup(ServerId from, const AcceptKeyGroup& m);
-  void handle_load_report(ServerId from, const LoadReport& m);
-  void handle_reclaim(ServerId from, const ReclaimKeyGroup& m);
-  void handle_reclaim_ack(ServerId from, const ReclaimAck& m);
-  void handle_reclaim_refused(ServerId from, const ReclaimRefused& m);
-  void handle_drop_replica(ServerId from, const DropReplica& m);
-  void handle_repl_append(ServerId from, const ReplAppend& m);
-  void handle_repl_ack(ServerId from, const ReplAck& m);
-  void handle_snapshot_offer(ServerId from, const SnapshotOffer& m);
-  void handle_snapshot_chunk(ServerId from, const SnapshotChunk& m);
-  void handle_ae_probe(ServerId from, const AntiEntropyProbe& m);
-  void handle_ae_diff(ServerId from, const AntiEntropyDiff& m);
-
-  /// Nack one group's append or snapshot chunk now, naming our head.
-  void send_nack(ServerId to, const KeyGroup& group, repl::LogHead head);
-  /// Owe `to` a positive ack for `group` at `head` (newer heads replace
-  /// older ones) and arm the kAckWindow flush if it is not armed.
-  void owe_ack(ServerId to, const KeyGroup& group, repl::LogHead head);
-  /// Send every owed head: one cumulative ReplAck per peer.
-  void flush_owed_acks();
-  /// Owner side of a positive ack: commit the in-flight batches the
-  /// holder's head now covers.
-  void commit_acked(const KeyGroup& group, const repl::LogHead& head);
-
-  /// Tell replica holders a group stopped being active here.
-  void retire_replicas(const KeyGroup& group);
+  /// `group` stopped being active here: the Replicator retires its log
+  /// and replicas, and its cost history goes with it.
+  void retire_group(const KeyGroup& group);
+  /// Drop `group`'s cost history unless it is active here (a replica
+  /// record of it went away).
+  void forget_costs_unless_active(const KeyGroup& group);
 
   /// Split `group`, shedding its right half (Section 5). When
   /// `reshed_on_self_map` is set and the right child maps back to this
@@ -436,209 +348,20 @@ class ClashServer {
   ServerEnv& env_;
   dht::KeyHasher hasher_;
   AppHooks* app_hooks_ = nullptr;
-  storage::NodeStore* storage_ = nullptr;
   ServerTable table_;
   std::map<KeyGroup, GroupState> state_;
   std::map<KeyGroup, ChildReport> child_reports_;  // right-child group -> report
   std::set<KeyGroup> pending_reclaims_;            // right-child groups asked back
-
-  // --- Replication-log internals (src/repl/) ---------------------------
-  /// The ring successors holding `group`'s replicas.
-  [[nodiscard]] std::vector<ServerId> replica_set(const KeyGroup& group);
-  /// Append one op to an active group's log and queue it for the
-  /// replica set (no-op unless the log engine is on). Ops queued
-  /// during one dispatch tick coalesce into a single ReplAppend frame
-  /// per group (flushed through ServerEnv::defer; synchronous
-  /// environments flush inline, i.e. per op).
-  void log_op(const KeyGroup& group, repl::LogOp op);
-  /// Send every queued ReplAppend batch now.
-  void flush_pending_appends();
-  /// Send (and forget) one group's queued batch — run before its log
-  /// is retired or re-epoched so no batch outlives the line it
-  /// belongs to.
-  void flush_pending_append(const KeyGroup& group);
-  /// Start (or restart) a group's log at an epoch strictly above both
-  /// `min_epoch` and any epoch this server previously used for it.
-  void init_group_log(const KeyGroup& group, std::uint64_t min_epoch);
-  /// Retire a group's log, remembering the epoch for reactivations.
-  void drop_group_log(const KeyGroup& group);
-  /// Snapshot an active group to its whole replica set and compact.
-  void snapshot_group(const ServerTableEntry& entry);
-  /// Stream one snapshot (offer + chunks) of an active group to `to`.
-  void send_snapshot_to(ServerId to, const ServerTableEntry& entry);
-  /// Chunk an arbitrary state image at `head` to `to` (owner snapshots
-  /// and peer-built repair snapshots share this path). The offer goes
-  /// out immediately; chunks flow through the paced outbound cursor
-  /// (pump_snapshots) so a large group cannot bury a backpressured
-  /// connection in one tick.
-  void send_state_snapshot(
-      ServerId to, const KeyGroup& group, const GroupState& st,
-      repl::LogHead head, bool root, ServerId parent, ServerId owner,
-      const std::vector<std::uint8_t>& app_state,
-      const std::vector<std::vector<std::uint8_t>>& app_deltas);
-  /// Drop the unsent remainder of a transfer (receiver nacked it or
-  /// the group left this server); repair restarts it from scratch.
-  void cancel_outbound_snapshot(ServerId to, const KeyGroup& group);
-  void cancel_outbound_snapshots(const KeyGroup& group);
-  /// Periodic anti-entropy: batched (epoch, seq) vectors per holder.
-  void send_anti_entropy();
-  /// Answer a peer that reported being behind on `group` at `have`.
-  void repair_peer(ServerId to, const KeyGroup& group, repl::LogHead have);
-  /// Write `entry`'s current state as its on-disk snapshot (no-op
-  /// without a durable store). Baselines anchor WAL replay;
-  /// checkpoints additionally advance the truncation floor.
-  void persist_group_snapshot(const ServerTableEntry& entry,
-                              bool checkpoint);
-  /// Make a freshly activated group durable: creates its log (which
-  /// writes the baseline snapshot) when no log exists yet.
-  void ensure_durable_group(const ServerTableEntry& entry);
-
-  /// Drop replica records nobody has refreshed for several check
-  /// periods: an ownership move re-targets the replica set, and the
-  /// ex-holders' stale copies must not linger as promotion poison.
-  void gc_stale_replicas();
-
-  /// Replicas held on behalf of other owners (replication extension).
-  struct ReplicaRecord {
-    ServerId owner{};
-    bool root = false;
-    ServerId parent{};
-    GroupState state;
-    /// Last time any owner/peer touched this record (lease clock).
-    SimTime refreshed{0};
-
-    // Applied position + retained suffix since the last
-    // snapshot (log.head() is the applied head; entries repair peers).
-    repl::GroupLog log{0, 0};
-    /// Freshest head any owner/peer ever advertised for the group.
-    repl::LogHead advertised;
-    /// Application state at the last snapshot plus the opaque deltas
-    /// logged since — replayed through AppHooks at promotion.
-    std::vector<std::uint8_t> app_snapshot;
-    std::vector<std::vector<std::uint8_t>> app_tail;
-
-    /// Head of the last transfer this holder tore down and nacked:
-    /// the dead stream's remaining chunks must stay silent (one nack
-    /// per failed transfer, not one per stale chunk).
-    repl::LogHead last_nacked{};
-
-    /// In-flight chunked snapshot assembly (chunks must arrive in
-    /// order; a mismatch drops the assembly, nacks the sender for an
-    /// immediate restart, and anti-entropy backstops the retry).
-    struct PendingSnapshot {
-      repl::LogHead head;
-      ServerId owner{};
-      bool root = false;
-      ServerId parent{};
-      std::uint32_t total = 0;
-      std::uint32_t received = 0;
-      GroupState state;
-      std::vector<std::uint8_t> app_state;
-      std::vector<std::vector<std::uint8_t>> app_deltas;
-      /// Journal op (kSnapshotIn) opened by the offer: start time and
-      /// the offer's correlation id.
-      obs::Op op;
-    };
-    std::optional<PendingSnapshot> pending;
-  };
-  std::map<KeyGroup, ReplicaRecord> replicas_;
-  /// Erase a replica record; a snapshot assembly it still holds is
-  /// aborted, or its op would stay open (and read as stalled) forever.
-  std::map<KeyGroup, ReplicaRecord>::iterator erase_replica(
-      std::map<KeyGroup, ReplicaRecord>::iterator it) {
-    if (it->second.pending) {
-      hub_.journal.abort(it->second.pending->op, env_.now().usec,
-                         it->second.pending->owner.value);
-    }
-    return replicas_.erase(it);
-  }
-
-  /// Paced outbound snapshot transfers: chunks are pre-cut at offer
-  /// time (a stable image regardless of later mutations) and drained
-  /// by pump_snapshots as the destination's budget allows.
-  struct OutboundSnapshot {
-    std::vector<SnapshotChunk> chunks;
-    std::size_t next = 0;
-    obs::Op op;  // kSnapshotOut, opened by the offer
-  };
-  std::map<std::pair<ServerId, KeyGroup>, OutboundSnapshot>
-      outbound_snapshots_;
-  bool pumping_snapshots_ = false;  // re-entrancy guard (nack restarts)
-
-  /// Per-tick ReplAppend batches: ops logged during one dispatch tick,
-  /// one frame per group at flush.
-  struct PendingAppend {
-    std::uint64_t epoch = 0;
-    std::uint64_t base_seq = 0;
-    /// Correlation id of the traced op (if any) batched here; a batch
-    /// coalescing several ops keeps the first traced one's id.
-    std::uint64_t trace_id = 0;
-    std::vector<repl::LogOp> entries;
-  };
-  std::map<KeyGroup, PendingAppend> pending_appends_;
-  bool append_flush_scheduled_ = false;
-  /// Build and fan one batch out to the group's replica set.
-  void send_append_batch(const KeyGroup& group, PendingAppend&& batch);
-
-  /// Owner-side logs of the groups this server actively manages.
-  /// Acks confirm holder progress; repair is nack-driven, so no
-  /// per-holder state is kept here.
-  std::map<KeyGroup, repl::GroupLog> logs_;
-  /// Last epoch used locally for a no-longer-active group: a
-  /// reactivation must start strictly above it so stale copies can
-  /// never dominate the new line.
-  std::map<KeyGroup, std::uint64_t> retired_epochs_;
-  repl::RecoveryCoordinator recovery_;
-  /// Set by restore_from_storage: the next on_ring_change also
-  /// re-adopts the records it restored (owner = this server).
-  bool adopt_restored_ = false;
-  /// Replica-lease clock: the GC lease floors at the slowest observed
-  /// gap between run_load_check calls (the real refresh cadence).
-  SimTime last_load_check_{-1};
-  std::int64_t observed_check_gap_usec_ = 0;
 
   Rng rng_;
   MessageStats stats_;
 
   // --- Observability (src/obs/) ----------------------------------------
   obs::Hub& hub_;  // env_.obs(), cached at construction
-  obs::HistogramHandle commit_latency_us_;
-  obs::HistogramHandle failover_us_;
-  obs::HistogramHandle snapshot_install_us_;
   obs::Counter puts_total_;
   obs::Counter repl_bytes_total_;
-  obs::Counter corrupt_rejected_total_;
 
   std::map<KeyGroup, GroupCost> group_costs_;
-  /// ReplAppend batches in flight: head seq + send time, popped by the
-  /// first ok ReplAck at or past that seq (commit-latency histogram).
-  /// One kReplAppend journal op per group spans the time its batch
-  /// queue is non-empty.
-  struct PendingCommit {
-    std::uint64_t epoch = 0;
-    std::uint64_t seq = 0;
-    SimTime sent{0};
-    std::uint64_t trace_id = 0;
-  };
-  struct PendingCommits {
-    std::deque<PendingCommit> batches;
-    obs::Op op;
-  };
-  std::map<KeyGroup, PendingCommits> pending_commits_;
-  /// Heads registered under the old line can never be acked now.
-  void drop_pending_commits(const KeyGroup& group);
-  /// Positive acks owed per peer, newest head per group (owe_ack).
-  std::map<ServerId, std::map<KeyGroup, repl::LogHead>> owed_acks_;
-  /// Pending flush_owed_acks (ServerEnv::defer_after handle; 0: none).
-  std::uint64_t ack_flush_timer_ = 0;
-  /// One kRecoveryPull journal op per open recovery session: ended by
-  /// the promotion (the failover span), aborted by any cancellation.
-  std::map<KeyGroup, obs::Op> recovery_ops_;
-  void progress_recovery_op(const KeyGroup& group, std::uint64_t delta) {
-    if (const auto it = recovery_ops_.find(group); it != recovery_ops_.end()) {
-      hub_.journal.progress(it->second, env_.now().usec, delta);
-    }
-  }
 
   // --- Journal glue -----------------------------------------------------
   /// Stable correlation tag for a group in journal records (the label
@@ -677,8 +400,24 @@ class ClashServer {
   /// (nonzero only while handling a traced AcceptObject / ReplAppend /
   /// snapshot): every span recorded and every replication message sent
   /// downstream inside the dispatch inherits it, which is what stitches
-  /// one query's flow across nodes. Scoped by TraceScope in server.cpp.
+  /// one query's flow across nodes. Scoped by TraceScope.
   std::uint64_t active_trace_ = 0;
+  /// RAII for active_trace_: installs `id` (when nonzero) for one
+  /// message dispatch and restores the previous value on exit, so
+  /// nested dispatches under synchronous transports keep their own ids.
+  struct TraceScope {
+    TraceScope(std::uint64_t& s, std::uint64_t id) : slot(s), saved(s) {
+      if (id != 0) slot = id;
+    }
+    ~TraceScope() { slot = saved; }
+    std::uint64_t& slot;
+    std::uint64_t saved;
+  };
+
+  /// Replication and durability; constructed last, since it reads the
+  /// members above.
+  friend class repl::Replicator;
+  repl::Replicator repl_{*this};
 };
 
 }  // namespace clash

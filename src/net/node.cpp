@@ -165,7 +165,7 @@ ClashNode::ClashNode(NodeConfig config)
         *storage_backend_, storage::NodeStore::Config::from(config_.clash));
     store_->affinity().bind(&node_loop_probe, loop_.get(), "NodeStore");
     store_->set_obs(&hub_, config_.id.value);
-    server_->set_storage(store_.get());
+    server_->replicator().set_storage(store_.get());
   }
   if (config_.enable_membership) {
     gossip_env_ = std::make_unique<GossipEnv>(*this);
@@ -399,7 +399,7 @@ void ClashNode::schedule_membership_tick() {
 void ClashNode::recover_from_storage() {
   loop_->assert_on_loop();
   recovered_ = true;
-  const std::size_t restored = server_->restore_from_storage();
+  const std::size_t restored = server_->replicator().restore_from_storage();
   if (restored == 0) return;
   CLASH_INFO << to_string(config_.id) << ": restored " << restored
              << " group(s) from " << config_.storage_dir;
@@ -526,7 +526,7 @@ void ClashNode::register_node_gauges() {
   });
   r.gauge_callback("clash_node_replica_records", [this] {
     on_loop_.assert_held();
-    return double(server_->replica_count());
+    return double(server_->replicator().replica_count());
   });
   r.gauge_callback("clash_node_ring_servers", [this] {
     on_loop_.assert_held();
@@ -759,7 +759,9 @@ std::shared_ptr<Connection> ClashNode::adopt_outbound(ServerId to, Fd fd) {
   // instead of waiting for the next load check.
   conn->set_drain_handler([this] {
     on_loop_.assert_held();
-    if (server_->has_pending_snapshots()) server_->pump_snapshots();
+    if (server_->replicator().has_pending_snapshots()) {
+      server_->replicator().pump_snapshots();
+    }
   });
   if (const auto fault = link_faults_.find(to);
       fault != link_faults_.end()) {

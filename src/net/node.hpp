@@ -58,7 +58,7 @@ struct NodeConfig {
   /// Log-replication mode: after a member death, hold each candidate
   /// promotion open this long so the surviving replica set can stream
   /// the missing log suffix (or a snapshot) to the heir before it
-  /// installs — the RecoveryCoordinator's pull window over TCP.
+  /// installs — the recovery session's pull window over TCP.
   std::chrono::microseconds recovery_grace = std::chrono::milliseconds(250);
   /// Snapshot-chunk pacing: while a peer connection's outbound queue
   /// already holds this many bytes, no further SnapshotChunks are

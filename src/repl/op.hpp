@@ -1,15 +1,18 @@
-// Wire-visible types of the replication log: the (epoch, seq) head
-// that totally orders the copies of one group, and the logged
-// operations themselves. Kept free of the rest of src/repl so
-// clash/messages.hpp can embed them in protocol messages.
+// Wire- and disk-visible types of the replication log: the (epoch,
+// seq) head that totally orders the copies of one group, the logged
+// operations themselves, and the image of one whole group. Kept free
+// of the rest of src/repl so clash/messages.hpp can embed them in
+// protocol messages.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "clash/group_state.hpp"
 #include "clash/objects.hpp"
 #include "common/types.hpp"
+#include "keys/key_group.hpp"
 
 namespace clash::repl {
 
@@ -61,6 +64,21 @@ struct LogOp {
   static LogOp put_query(QueryInfo q);
   static LogOp del_query(QueryId id);
   static LogOp app_delta_op(std::vector<std::uint8_t> delta);
+};
+
+/// One group's full state at a log head: what a snapshot file holds,
+/// what the recovery scan rebuilds, what a replica record keeps and
+/// what a snapshot transfer carries (SnapshotOffer + SnapshotChunks).
+struct GroupImage {
+  KeyGroup group;
+  LogHead head;
+  bool root = false;
+  ServerId parent{};
+  GroupState state;
+  /// Application state at the image's cut (AppHooks::snapshot_state).
+  std::vector<std::uint8_t> app_state;
+  /// Opaque app deltas logged after app_state was cut, replay order.
+  std::vector<std::vector<std::uint8_t>> app_deltas;
 };
 
 }  // namespace clash::repl

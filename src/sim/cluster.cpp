@@ -191,7 +191,7 @@ SimCluster::SimCluster(Config config)
           *backends_.back(),
           storage::NodeStore::Config::from(config_.clash)));
       stores_.back()->set_obs(&obs::Hub::global(), i);
-      servers_.back()->set_storage(stores_.back().get());
+      servers_.back()->replicator().set_storage(stores_.back().get());
     }
   }
 }
@@ -331,7 +331,7 @@ void SimCluster::cover_orphans() {
     if (ring_.contains(owner)) continue;
     const bool held = std::any_of(
         servers_.begin(), servers_.end(), [&](const auto& srv) {
-          return is_alive(srv->id()) && srv->has_replica(group);
+          return is_alive(srv->id()) && srv->replicator().has_replica(group);
         });
     if (!held) orphans.emplace_back(group, heir);
   }
@@ -363,8 +363,8 @@ void SimCluster::restart_server(ServerId id) {
     stores_[id.value] = std::make_unique<storage::NodeStore>(
         *backends_[id.value], storage::NodeStore::Config::from(config_.clash));
     stores_[id.value]->set_obs(&obs::Hub::global(), id.value);
-    servers_[id.value]->set_storage(stores_[id.value].get());
-    servers_[id.value]->restore_from_storage();
+    servers_[id.value]->replicator().set_storage(stores_[id.value].get());
+    servers_[id.value]->replicator().restore_from_storage();
   }
   // The ring did not change: only the restarted server runs the rule,
   // as in ClashNode::recover_from_storage. Still on the ring (not yet
@@ -524,7 +524,7 @@ std::optional<std::string> SimCluster::check_replica_heads() const {
     if (!owner_head) return "owner of " + group.label() + " has no log";
     for (const auto& srv : servers_) {
       if (!is_alive(srv->id()) || srv->id() == owner) continue;
-      if (!srv->has_replica(group)) continue;
+      if (!srv->replicator().has_replica(group)) continue;
       const auto head = srv->replica_head(group);
       if (head != owner_head) {
         return group.label() + ": replica on " + to_string(srv->id()) +

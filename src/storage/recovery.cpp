@@ -30,7 +30,7 @@ std::optional<std::uint64_t> segment_index(const std::string& path) {
 }
 
 struct Replayer {
-  std::map<KeyGroup, RecoveredGroup>& groups;
+  std::map<KeyGroup, repl::GroupImage>& groups;
   RecoveryScanStats& stats;
   /// Groups whose replay hit a sequence gap: nothing after the gap can
   /// be trusted to chain, so the rest of their records are skipped and
@@ -52,12 +52,13 @@ struct Replayer {
       // No baseline snapshot (lost, rejected, or an old-format store):
       // reconstruct from empty at the record's predecessor so at least
       // the logged suffix survives.
-      RecoveredGroup g;
+      repl::GroupImage g;
+      g.group = rec.group;
       g.head = repl::LogHead{rec.head.epoch, rec.head.seq - 1};
       it = groups.emplace(rec.group, std::move(g)).first;
       stats.orphan_groups++;
     }
-    RecoveredGroup& g = it->second;
+    repl::GroupImage& g = it->second;
     if (rec.head.epoch < g.head.epoch ||
         (rec.head.epoch == g.head.epoch && rec.head.seq <= g.head.seq)) {
       stats.records_skipped++;  // pre-snapshot history
@@ -67,7 +68,8 @@ struct Replayer {
       // A new ownership line without its baseline snapshot on disk
       // (the snapshot write raced the crash): restart the group empty
       // under the new line — the old line's state is dead anyway.
-      g = RecoveredGroup{};
+      g = repl::GroupImage{};
+      g.group = rec.group;
       g.head = repl::LogHead{rec.head.epoch, rec.head.seq - 1};
       gapped.erase(rec.group);
       stats.orphan_groups++;
@@ -109,22 +111,16 @@ RecoveredImage recover_image(Backend& backend, const std::string& wal_dir,
       image.stats.snapshots_rejected++;
       continue;
     }
-    SnapshotImage snap;
+    repl::GroupImage snap;
     if (!decode_snapshot(data, snap)) {
       CLASH_WARN << "rejecting corrupt snapshot " << path;
       image.stats.snapshots_rejected++;
       continue;
     }
-    RecoveredGroup g;
-    g.head = snap.head;
-    g.root = snap.root;
-    g.parent = snap.parent;
-    g.state = std::move(snap.state);
-    g.app_state = std::move(snap.app_state);
-    g.app_deltas = std::move(snap.app_deltas);
-    image.groups[snap.group] = std::move(g);
-    image.snapshot_floors[snap.group] = snap.head;
+    const KeyGroup group = snap.group;
+    image.snapshot_floors[group] = snap.head;
     image.stats.snapshots_loaded++;
+    image.groups[group] = std::move(snap);
   }
 
   Replayer replay{image.groups, image.stats, {}};

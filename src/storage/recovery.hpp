@@ -14,23 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "clash/group_state.hpp"
-#include "common/types.hpp"
-#include "keys/key_group.hpp"
 #include "repl/op.hpp"
 #include "storage/backend.hpp"
 
 namespace clash::storage {
-
-struct RecoveredGroup {
-  repl::LogHead head;  // after snapshot + replay
-  bool root = false;
-  ServerId parent{};
-  GroupState state;
-  std::vector<std::uint8_t> app_state;
-  /// App deltas logged past app_state, replay order.
-  std::vector<std::vector<std::uint8_t>> app_deltas;
-};
 
 struct RecoveryScanStats {
   std::uint64_t snapshots_loaded = 0;
@@ -45,7 +32,9 @@ struct RecoveryScanStats {
 };
 
 struct RecoveredImage {
-  std::map<KeyGroup, RecoveredGroup> groups;
+  /// Each group's image after snapshot + replay (head: the last record
+  /// applied; app_deltas: the snapshot's plus every replayed delta).
+  std::map<KeyGroup, repl::GroupImage> groups;
   /// Head of each group's on-disk snapshot as loaded (the WAL
   /// truncation floors the restarted store starts from).
   std::map<KeyGroup, repl::LogHead> snapshot_floors;

@@ -32,10 +32,16 @@ void object_ops(IO& io, wire::Ref<IO, GroupState> state,
 }
 
 }  // namespace
+}  // namespace clash::storage
 
-/// The file minus its trailing CRC32.
+namespace clash::wire {
+
+/// The file minus its trailing CRC32 (beside the other field lists, so
+/// wire::encode / wire::decode find it).
 template <typename IO>
-void fields(IO& io, wire::Ref<IO, SnapshotImage> img) {
+void fields(IO& io, Ref<IO, repl::GroupImage> img) {
+  using storage::kMagic;
+  using storage::kVersion;
   auto magic = kMagic;
   auto version = kVersion;
   io.u32(magic);
@@ -45,27 +51,34 @@ void fields(IO& io, wire::Ref<IO, SnapshotImage> img) {
   fields(io, img.head);
   io.boolean(img.root);
   io.u64(img.parent.value);
-  object_ops(io, img.state, &GroupState::streams, repl::LogOp::put_stream);
-  object_ops(io, img.state, &GroupState::queries, repl::LogOp::put_query);
+  storage::object_ops(io, img.state, &GroupState::streams,
+                      repl::LogOp::put_stream);
+  storage::object_ops(io, img.state, &GroupState::queries,
+                      repl::LogOp::put_query);
   io.blob(img.app_state);
   io.vec(img.app_deltas);
 }
 
-std::vector<std::uint8_t> encode_snapshot(const SnapshotImage& img) {
+}  // namespace clash::wire
+
+namespace clash::storage {
+
+std::vector<std::uint8_t> encode_snapshot(const repl::GroupImage& img) {
   wire::Writer w;
   wire::encode(w, img);
   w.u32(crc32(w.data()));
   return w.take();
 }
 
-bool decode_snapshot(std::span<const std::uint8_t> data, SnapshotImage& out) {
+bool decode_snapshot(std::span<const std::uint8_t> data,
+                     repl::GroupImage& out) {
   if (data.size() < 4) return false;
   const auto body = data.first(data.size() - 4);
   if (crc32(body) != wire::load_u32_le(data.data() + body.size())) {
     return false;
   }
   wire::Reader r(body);
-  out = wire::decode<SnapshotImage>(r);
+  out = wire::decode<repl::GroupImage>(r);
   return r.exhausted();
 }
 

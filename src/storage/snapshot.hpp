@@ -14,32 +14,18 @@
 #include <string>
 #include <vector>
 
-#include "clash/group_state.hpp"
-#include "common/types.hpp"
-#include "keys/key_group.hpp"
 #include "repl/op.hpp"
 
 namespace clash::storage {
 
-struct SnapshotImage {
-  KeyGroup group;
-  repl::LogHead head;
-  bool root = false;
-  ServerId parent{};
-  GroupState state;
-  std::vector<std::uint8_t> app_state;
-  /// Opaque app deltas logged after app_state was cut (non-empty only
-  /// for images recovered from a replica-sourced baseline).
-  std::vector<std::vector<std::uint8_t>> app_deltas;
-};
-
 /// Serialise an image (magic + version + payload + trailing CRC32).
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
-    const SnapshotImage& img);
+    const repl::GroupImage& img);
 
 /// Decode + CRC-validate; false on any damage (caller falls back to
 /// WAL-only recovery for the group).
-bool decode_snapshot(std::span<const std::uint8_t> data, SnapshotImage& out);
+bool decode_snapshot(std::span<const std::uint8_t> data,
+                     repl::GroupImage& out);
 
 /// Stable, filesystem-safe path for a group's snapshot file
 /// ("snap/<depth>-<virtual key hex>.snap"; the label's '*' wildcard is

@@ -70,7 +70,7 @@ std::uint64_t NodeStore::append_op(const KeyGroup& group, repl::LogHead head,
   return wal_->stats().bytes - before;
 }
 
-std::uint64_t NodeStore::write_snapshot(const SnapshotImage& img,
+std::uint64_t NodeStore::write_snapshot(const repl::GroupImage& img,
                                         bool checkpoint) {
   affinity_.assert_held();
   if (checkpoint && cfg_.mode != ClashConfig::DurabilityMode::kWalSnapshot) {

@@ -94,7 +94,7 @@ class NodeStore {
   /// (log-compaction cuts) only land in kWalSnapshot mode, where they
   /// advance the truncation floor and reclaim covered segments.
   /// Returns the encoded bytes written (0 when skipped or failed).
-  std::uint64_t write_snapshot(const SnapshotImage& img, bool checkpoint);
+  std::uint64_t write_snapshot(const repl::GroupImage& img, bool checkpoint);
 
   /// The group left this node (split away, reclaimed, handed off):
   /// log a drop record (fsync policy applies) and delete its snapshot

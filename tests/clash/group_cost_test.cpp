@@ -92,7 +92,7 @@ TEST(GroupCostLifecycle, DropReplicaEvictsCostButSparesTheActiveOwner) {
   ServerId holder{};  // default-constructed = invalid
   for (std::size_t i = 0; i < 16; ++i) {
     const ServerId id{i};
-    if (id != owner && cluster.server(id).has_replica(group)) {
+    if (id != owner && cluster.server(id).replicator().has_replica(group)) {
       holder = id;
       break;
     }
@@ -103,7 +103,7 @@ TEST(GroupCostLifecycle, DropReplicaEvictsCostButSparesTheActiveOwner) {
 
   // A DropReplica at the holder evicts both the replica and its cost.
   cluster.server(holder).deliver(owner, Message(DropReplica{group}));
-  EXPECT_FALSE(cluster.server(holder).has_replica(group));
+  EXPECT_FALSE(cluster.server(holder).replicator().has_replica(group));
   EXPECT_EQ(cluster.server(holder).group_costs().count(group), 0u);
 
   // But the same message at the ACTIVE OWNER (stale drop from an old

@@ -40,14 +40,14 @@ TEST(ReplicaLifecycle, ReplicasLandOnRingSuccessors) {
     ASSERT_GE(ring_set.size(), 3u);
     ASSERT_EQ(ring_set[0], owner);
     for (std::size_t r = 1; r < 3; ++r) {
-      EXPECT_TRUE(cluster.server(ring_set[r]).has_replica(group))
+      EXPECT_TRUE(cluster.server(ring_set[r]).replicator().has_replica(group))
           << group.label() << " missing on successor " << r;
     }
     // And nowhere else.
     for (std::size_t i = 0; i < 16; ++i) {
       const ServerId id{i};
       if (id == owner || id == ring_set[1] || id == ring_set[2]) continue;
-      EXPECT_FALSE(cluster.server(id).has_replica(group))
+      EXPECT_FALSE(cluster.server(id).replicator().has_replica(group))
           << group.label() << " leaked to " << to_string(id);
     }
   }
@@ -70,7 +70,8 @@ TEST(ReplicaLifecycle, SplitRetiresStaleParentReplicas) {
   const KeyGroup parent = cluster.find_active_group(hot).value();
   std::size_t holders_before = 0;
   for (std::size_t i = 0; i < 16; ++i) {
-    holders_before += cluster.server(ServerId{i}).has_replica(parent) ? 1 : 0;
+    holders_before +=
+        cluster.server(ServerId{i}).replicator().has_replica(parent) ? 1 : 0;
   }
   ASSERT_EQ(holders_before, 2u);
 
@@ -78,7 +79,7 @@ TEST(ReplicaLifecycle, SplitRetiresStaleParentReplicas) {
   // no stale copy can ever be promoted over the children.
   ASSERT_TRUE(cluster.server(*cluster.find_owner(hot)).force_split(parent));
   for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_FALSE(cluster.server(ServerId{i}).has_replica(parent))
+    EXPECT_FALSE(cluster.server(ServerId{i}).replicator().has_replica(parent))
         << "stale replica of " << parent.label() << " on s" << i;
   }
   EXPECT_GT(cluster.total_stats().replica_drops, 0u);
@@ -90,7 +91,8 @@ TEST(ReplicaLifecycle, SplitRetiresStaleParentReplicas) {
   ASSERT_GT(child.depth(), parent.depth());
   std::size_t child_holders = 0;
   for (std::size_t i = 0; i < 16; ++i) {
-    child_holders += cluster.server(ServerId{i}).has_replica(child) ? 1 : 0;
+    child_holders +=
+        cluster.server(ServerId{i}).replicator().has_replica(child) ? 1 : 0;
   }
   EXPECT_EQ(child_holders, 2u);
 }
@@ -180,7 +182,8 @@ TEST(ReplicaLifecycle, BackToBackOwnerDeathsWithinOnePeriod) {
   for (std::size_t i = 0; i < 16; ++i) {
     const ServerId id{i};
     if (!cluster.is_alive(id) || id == second_owner) continue;
-    const auto owned = cluster.server(id).replicas_owned_by(second_owner);
+    const auto owned =
+        cluster.server(id).replicator().replicas_owned_by(second_owner);
     holders_naming_new_owner +=
         std::count(owned.begin(), owned.end(), group);
   }
@@ -219,7 +222,7 @@ TEST(ReplicaLifecycle, HoldersEvictedBeforeTheirOwnerAreReplacedAtOnce) {
   const ServerId owner = *cluster.find_owner(key);
   std::vector<ServerId> holders;
   for (std::size_t i = 0; i < 16; ++i) {
-    if (cluster.server(ServerId{i}).has_replica(group)) {
+    if (cluster.server(ServerId{i}).replicator().has_replica(group)) {
       holders.push_back(ServerId{i});
     }
   }

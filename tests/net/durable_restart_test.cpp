@@ -200,7 +200,7 @@ TEST(DurableRestartNet, QuickRestartKeepsOwnershipWithoutSnapshotPull) {
 
   // Local disk, not a peer snapshot, carried the state.
   const auto pulled = nodes[1]->run_on_loop([](ClashServer& s) {
-    return s.recovery_stats().snapshots_pulled;
+    return s.replicator().recovery_stats().snapshots_pulled;
   });
   EXPECT_EQ(pulled, 0u);
   const auto lost = nodes[1]->run_on_loop(

@@ -299,7 +299,7 @@ TEST(SnapshotPacing, PacedTransferConvergesThroughDrainCallbacks) {
     const auto owner_head = nodes[owner_idx]->run_on_loop(
         [&](ClashServer& s) { return s.log_head(root); });
     const auto state = nodes[holder_idx]->run_on_loop([&](ClashServer& s) {
-      const GroupState* st = s.replica_state(root);
+      const GroupState* st = s.replicator().replica_state(root);
       return std::make_pair(s.replica_head(root),
                             st != nullptr ? st->streams.size() : 0u);
     });
@@ -309,7 +309,7 @@ TEST(SnapshotPacing, PacedTransferConvergesThroughDrainCallbacks) {
   EXPECT_TRUE(converged) << "paced snapshot transfer never converged";
   // All transfers drained: nothing is stuck behind backpressure.
   EXPECT_TRUE(nodes[owner_idx]->run_on_loop(
-      [](ClashServer& s) { return !s.has_pending_snapshots(); }));
+      [](ClashServer& s) { return !s.replicator().has_pending_snapshots(); }));
   for (auto& node : nodes) node->stop();
 }
 

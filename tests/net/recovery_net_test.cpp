@@ -242,7 +242,7 @@ TEST(RecoveryNet, ThirdHolderTakesOverWhenTheHeirDiesInItsGrace) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   for (const ServerId holder : {heir, third}) {
     ASSERT_TRUE(cluster.nodes[holder.value]->run_on_loop(
-        [&](ClashServer& s) { return s.has_replica(group); }))
+        [&](ClashServer& s) { return s.replicator().has_replica(group); }))
         << "no replica on " << to_string(holder);
   }
 

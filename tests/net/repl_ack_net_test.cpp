@@ -1,5 +1,5 @@
 // Cumulative replication acks over real TCP. A replica holds its
-// positive ReplAcks for ClashServer::kAckWindow and then sends every
+// positive ReplAcks for repl::Replicator::kAckWindow and then sends every
 // group head it owes one peer in a single frame; nacks (gap, epoch,
 // no record, snapshot chunk) still leave at once. The owner's commit
 // latency histogram and journal ops must close exactly as they did
@@ -140,7 +140,7 @@ struct AckCluster {
   /// Wait out the ack window many times over.
   static void settle() {
     std::this_thread::sleep_for(
-        std::chrono::microseconds(20 * ClashServer::kAckWindow.usec));
+        std::chrono::microseconds(20 * repl::Replicator::kAckWindow.usec));
   }
 
   /// The node owning the most groups (at least two: depth 4 gives 16).

@@ -1,9 +1,8 @@
 // GroupLog unit coverage: head ordering, append/suffix/compact/reset,
-// op application to group state, and RecoveryCoordinator bookkeeping.
+// and op application to group state.
 #include <gtest/gtest.h>
 
 #include "repl/log.hpp"
-#include "repl/recovery.hpp"
 
 namespace clash::repl {
 namespace {
@@ -99,34 +98,6 @@ TEST(GroupLog, ApplyReplaysOpsOntoGroupState) {
   // App deltas do not touch the object state.
   GroupLog::apply(LogOp::app_delta_op({1, 2, 3}), st);
   EXPECT_EQ(st.streams.size(), 1u);
-}
-
-TEST(RecoveryCoordinator, TracksRepairAndStaleness) {
-  RecoveryCoordinator rc;
-  const KeyGroup g = KeyGroup::of(Key(0x40, 8), 2);
-
-  // Healed promotion: started behind, repaired to the advertised head.
-  ASSERT_TRUE(rc.begin(g, LogHead{1, 5}));
-  EXPECT_FALSE(rc.begin(g, LogHead{1, 5}));  // session already open
-  rc.note_entries_repaired(g, 3);
-  rc.finish(g, LogHead{1, 8}, LogHead{1, 8});
-  EXPECT_EQ(rc.stats().sessions, 1u);
-  EXPECT_EQ(rc.stats().entries_repaired, 3u);
-  EXPECT_EQ(rc.stats().stale_promotions_averted, 1u);
-  EXPECT_EQ(rc.stats().stale_promotions, 0u);
-  EXPECT_FALSE(rc.active(g));
-
-  // Stale promotion: nobody could repair us to the advertised head.
-  ASSERT_TRUE(rc.begin(g, LogHead{1, 5}));
-  rc.finish(g, LogHead{1, 5}, LogHead{1, 9});
-  EXPECT_EQ(rc.stats().stale_promotions, 1u);
-
-  // Snapshot pull.
-  ASSERT_TRUE(rc.begin(g, LogHead{}));
-  rc.note_snapshot_pulled(g);
-  rc.finish(g, LogHead{2, 40}, LogHead{2, 40});
-  EXPECT_EQ(rc.stats().snapshots_pulled, 1u);
-  EXPECT_EQ(rc.stats().stale_promotions_averted, 2u);
 }
 
 }  // namespace

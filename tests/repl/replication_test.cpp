@@ -125,7 +125,7 @@ TEST(ReplicationLog, AppendsFlowToReplicasIncrementally) {
   EXPECT_EQ(owner_head->seq, 3u);
   for (std::size_t i : {1u, 2u}) {
     EXPECT_EQ(cluster.s(i).replica_head(root), owner_head) << "s" << i;
-    const GroupState* st = cluster.s(i).replica_state(root);
+    const GroupState* st = cluster.s(i).replicator().replica_state(root);
     ASSERT_NE(st, nullptr);
     EXPECT_EQ(st->streams.size(), 2u);
     EXPECT_EQ(st->queries.size(), 1u);
@@ -134,8 +134,9 @@ TEST(ReplicationLog, AppendsFlowToReplicasIncrementally) {
 
   // Removal ops replicate too.
   cluster.s(0).remove_stream(ClientId{1}, Key(0x12, kWidth));
-  EXPECT_EQ(cluster.s(1).replica_state(root)->streams.size(), 1u);
-  EXPECT_DOUBLE_EQ(cluster.s(1).replica_state(root)->stream_rate, 3.0);
+  EXPECT_EQ(cluster.s(1).replicator().replica_state(root)->streams.size(), 1u);
+  EXPECT_DOUBLE_EQ(cluster.s(1).replicator().replica_state(root)->stream_rate,
+                   3.0);
   EXPECT_EQ(cluster.s(1).replica_head(root), cluster.s(0).log_head(root));
 }
 
@@ -156,7 +157,7 @@ TEST(ReplicationLog, GapHealsThroughAntiEntropyDiff) {
   // diff naming its real head, the owner streams the missing suffix.
   cluster.add_stream(3, 0x44, 1.0);
   EXPECT_EQ(cluster.s(1).replica_head(root), cluster.s(0).log_head(root));
-  const GroupState* st = cluster.s(1).replica_state(root);
+  const GroupState* st = cluster.s(1).replicator().replica_state(root);
   EXPECT_EQ(st->streams.size(), 3u);
   EXPECT_EQ(st->queries.size(), 1u);
 }
@@ -176,7 +177,7 @@ TEST(ReplicationLog, PeriodicProbeRepairsSilentDivergence) {
   // The anti-entropy timer exchanges (epoch, seq) vectors and repairs.
   cluster.s(0).run_load_check();
   EXPECT_EQ(cluster.s(2).replica_head(root), cluster.s(0).log_head(root));
-  EXPECT_EQ(cluster.s(2).replica_state(root)->streams.size(), 2u);
+  EXPECT_EQ(cluster.s(2).replicator().replica_state(root)->streams.size(), 2u);
 }
 
 TEST(ReplicationLog, LagPastCompactionFloorGetsChunkedSnapshot) {
@@ -196,7 +197,7 @@ TEST(ReplicationLog, LagPastCompactionFloorGetsChunkedSnapshot) {
 
   cluster.s(0).run_load_check();  // probe -> diff -> snapshot (chunked)
   EXPECT_EQ(cluster.s(1).replica_head(root), cluster.s(0).log_head(root));
-  EXPECT_EQ(cluster.s(1).replica_state(root)->streams.size(), 6u);
+  EXPECT_EQ(cluster.s(1).replicator().replica_state(root)->streams.size(), 6u);
 }
 
 TEST(ReplicationLog, PromotionPullsMissingSuffixFromFresherPeer) {
@@ -221,9 +222,10 @@ TEST(ReplicationLog, PromotionPullsMissingSuffixFromFresherPeer) {
   EXPECT_EQ(st->streams.size(), 2u);
   EXPECT_EQ(st->queries.size(), 1u);
   EXPECT_DOUBLE_EQ(st->stream_rate, 3.0);
-  EXPECT_GT(cluster.s(1).recovery_stats().entries_repaired, 0u);
-  EXPECT_EQ(cluster.s(1).recovery_stats().stale_promotions, 0u);
-  EXPECT_EQ(cluster.s(1).recovery_stats().stale_promotions_averted, 1u);
+  EXPECT_GT(cluster.s(1).replicator().recovery_stats().entries_repaired, 0u);
+  EXPECT_EQ(cluster.s(1).replicator().recovery_stats().stale_promotions, 0u);
+  EXPECT_EQ(
+      cluster.s(1).replicator().recovery_stats().stale_promotions_averted, 1u);
   // The new ownership line supersedes the dead owner's epoch.
   EXPECT_GT(cluster.s(1).log_head(root)->epoch, fresh_head->epoch);
 }
@@ -236,11 +238,11 @@ TEST(ReplicationLog, PromotionWithoutLocalReplicaPullsPeerSnapshot) {
   }
   cluster.router.blackholed.insert(0);  // owner gone
   // The heir s(3) never held a replica, but the set {s1, s2} did.
-  ASSERT_FALSE(cluster.s(3).has_replica(root));
+  ASSERT_FALSE(cluster.s(3).replicator().has_replica(root));
   ASSERT_TRUE(cluster.s(3).promote_replica(root));
   EXPECT_EQ(cluster.s(3).group_state(root)->streams.size(), 5u);
   // Both surviving holders answer the pull; at least one snapshot lands.
-  EXPECT_GE(cluster.s(3).recovery_stats().snapshots_pulled, 1u);
+  EXPECT_GE(cluster.s(3).replicator().recovery_stats().snapshots_pulled, 1u);
   EXPECT_EQ(cluster.s(3).stats().groups_lost, 0u);
 }
 
@@ -262,7 +264,7 @@ TEST(ReplicationLog, StalePromotionIsCountedWhenNoPeerCanHeal) {
   ASSERT_TRUE(cluster.s(1).promote_replica(root));
   // s(1) knows (1,2) existed but could only reach (1,1): recorded as a
   // stale promotion, not silently ignored.
-  EXPECT_EQ(cluster.s(1).recovery_stats().stale_promotions, 1u);
+  EXPECT_EQ(cluster.s(1).replicator().recovery_stats().stale_promotions, 1u);
   EXPECT_EQ(cluster.s(1).group_state(root)->streams.size(), 1u);
 }
 

@@ -102,7 +102,7 @@ TEST(SnapshotTransfer, DuplicateOfferMidTransferDoesNotDiscardChunks) {
 
   EXPECT_EQ(holder.server.stats().snapshot_offers_ignored, 1u);
   ASSERT_EQ(holder.server.replica_head(root), head);
-  const GroupState* st = holder.server.replica_state(root);
+  const GroupState* st = holder.server.replicator().replica_state(root);
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(st->streams.size(), 2u);
   EXPECT_EQ(st->queries.size(), 1u);
@@ -124,7 +124,7 @@ TEST(SnapshotTransfer, StrictlyNewerOfferPreemptsTheAssembly) {
                                     {stream(9, 0x44, 4.0)})));
 
   ASSERT_EQ(holder.server.replica_head(root), new_head);
-  const GroupState* st = holder.server.replica_state(root);
+  const GroupState* st = holder.server.replicator().replica_state(root);
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(st->streams.size(), 1u);
   EXPECT_DOUBLE_EQ(st->stream_rate, 4.0);
@@ -164,7 +164,7 @@ TEST(SnapshotTransfer, LostChunkNacksOnceAndAcceptsTheRestart) {
   holder.deliver(Message(make_chunk(root, head, 2, 3,
                                     {stream(3, 0x33, 1.0)})));
   ASSERT_EQ(holder.server.replica_head(root), head);
-  EXPECT_EQ(holder.server.replica_state(root)->streams.size(), 3u);
+  EXPECT_EQ(holder.server.replicator().replica_state(root)->streams.size(), 3u);
 }
 
 TEST(SnapshotTransfer, RedeliveredStreamDoesNotDoubleCountItsRate) {
@@ -183,7 +183,7 @@ TEST(SnapshotTransfer, RedeliveredStreamDoesNotDoubleCountItsRate) {
                                      stream(2, 0x22, 1.0)})));
 
   ASSERT_EQ(holder.server.replica_head(root), head);
-  const GroupState* st = holder.server.replica_state(root);
+  const GroupState* st = holder.server.replicator().replica_state(root);
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(st->streams.size(), 2u);
   EXPECT_DOUBLE_EQ(st->stream_rate, 3.0);
@@ -237,7 +237,8 @@ TEST(SnapshotTransfer, DuplicatedAppliedChunkIsIdempotent) {
                                     {stream(2, 0x22, 1.0)})));
 
   ASSERT_EQ(holder.server.replica_head(root), head);
-  EXPECT_DOUBLE_EQ(holder.server.replica_state(root)->stream_rate, 3.0);
+  EXPECT_DOUBLE_EQ(
+      holder.server.replicator().replica_state(root)->stream_rate, 3.0);
   EXPECT_EQ(holder.nacks(), 0u);
 }
 

@@ -115,7 +115,7 @@ TEST(DupReorderReplication, DuplicatedAppendsApplyOnce) {
     const auto& server = cluster.server(ServerId{i});
     for (const auto& [group, owner] : cluster.owner_index()) {
       if (owner.value == i) continue;
-      const GroupState* st = server.replica_state(group);
+      const GroupState* st = server.replicator().replica_state(group);
       if (st == nullptr) continue;
       replica_rate += st->stream_rate;
       replica_streams += st->streams.size();
@@ -183,7 +183,7 @@ TEST(DupReorderReplication, SnapshotAssemblySurvivesDupAndReorder) {
       if (!head.has_value()) continue;
       EXPECT_EQ(*head, *owner_head) << "group " << group.label();
       const GroupState* st =
-          cluster.server(ServerId{i}).replica_state(group);
+          cluster.server(ServerId{i}).replicator().replica_state(group);
       ASSERT_NE(st, nullptr);
       EXPECT_EQ(st->streams.size(), truth->streams.size());
       EXPECT_EQ(st->queries.size(), truth->queries.size());

@@ -120,8 +120,9 @@ TEST(DurabilityRestart, KilledNodeRecoversItsGroupsFromLocalDisk) {
   // outbound re-replication after promotion is the only chunk
   // traffic, and the recovery pull repaired zero entries — the disk
   // was complete).
-  EXPECT_EQ(cluster.server(victim).recovery_stats().snapshots_pulled, 0u);
-  EXPECT_EQ(cluster.server(victim).recovery_stats().entries_repaired, 0u);
+  const auto& recovery = cluster.server(victim).replicator().recovery_stats();
+  EXPECT_EQ(recovery.snapshots_pulled, 0u);
+  EXPECT_EQ(recovery.entries_repaired, 0u);
 }
 
 TEST(DurabilityRestart, TornWalTailHealsFromReplicaSuffix) {
@@ -148,9 +149,8 @@ TEST(DurabilityRestart, TornWalTailHealsFromReplicaSuffix) {
 
   // The disk lost a tail, but the synchronous recovery pull streamed
   // the missing suffix from the surviving holders before promotion.
-  EXPECT_GT(cluster.server(victim).recovery_stats().entries_repaired +
-                cluster.server(victim).recovery_stats().snapshots_pulled,
-            0u);
+  const auto& recovery = cluster.server(victim).replicator().recovery_stats();
+  EXPECT_GT(recovery.entries_repaired + recovery.snapshots_pulled, 0u);
   EXPECT_EQ(cluster.server(victim).total_streams(), victim_streams);
   EXPECT_EQ(cluster.server(victim).total_queries(), victim_queries);
   const auto [streams, queries] = count_objects(cluster);

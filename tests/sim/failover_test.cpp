@@ -47,7 +47,7 @@ TEST(Failover, ReplicasFormAfterLoadChecks) {
 
   std::size_t replicas = 0;
   for (std::size_t i = 0; i < 24; ++i) {
-    replicas += cluster.server(ServerId{i}).replica_count();
+    replicas += cluster.server(ServerId{i}).replicator().replica_count();
   }
   // 8 root groups x 2 replicas each. The registrations streamed to
   // them through the log (the activation snapshots went out during

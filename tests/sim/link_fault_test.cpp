@@ -135,7 +135,8 @@ TEST(LinkFaultCluster, CutLinkStarvesReplicaUntilHealAndAntiEntropy) {
   ServerId holder{};
   for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
     const ServerId id{i};
-    if (id != gv.owner && cluster.server(id).has_replica(gv.group)) {
+    if (id != gv.owner &&
+        cluster.server(id).replicator().has_replica(gv.group)) {
       holder = id;
       break;
     }
@@ -165,7 +166,8 @@ TEST(LinkFaultCluster, CutLinkStarvesReplicaUntilHealAndAntiEntropy) {
   cluster.run_all_load_checks();
   EXPECT_EQ(cluster.server(holder).replica_head(gv.group),
             cluster.server(gv.owner).log_head(gv.group));
-  const GroupState* st = cluster.server(holder).replica_state(gv.group);
+  const GroupState* st =
+      cluster.server(holder).replicator().replica_state(gv.group);
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(st->streams.size(), 5u);
 }
@@ -194,7 +196,8 @@ TEST(LinkFaultCluster, ScriptedChunkLossNacksAndRestartsWithinTheCheck) {
   ServerId holder{};
   for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
     const ServerId id{i};
-    if (id != gv.owner && cluster.server(id).has_replica(gv.group)) {
+    if (id != gv.owner &&
+        cluster.server(id).replicator().has_replica(gv.group)) {
       holder = id;
       break;
     }
@@ -226,8 +229,8 @@ TEST(LinkFaultCluster, ScriptedChunkLossNacksAndRestartsWithinTheCheck) {
   EXPECT_GT(cluster.server(holder).stats().snapshot_aborts, 0u);
   EXPECT_EQ(cluster.server(holder).replica_head(gv.group),
             cluster.server(gv.owner).log_head(gv.group));
-  EXPECT_EQ(cluster.server(holder).replica_state(gv.group)->streams.size(),
-            6u);
+  const auto& repl = cluster.server(holder).replicator();
+  EXPECT_EQ(repl.replica_state(gv.group)->streams.size(), 6u);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ repl::LogOp query_op(std::uint64_t id, std::uint64_t key) {
 }
 
 TEST(SnapshotCodec, RoundTripsFullImage) {
-  SnapshotImage img;
+  repl::GroupImage img;
   img.group = KeyGroup::of(Key(0x2A, kWidth), 5);
   img.head = repl::LogHead{7, 42};
   img.root = true;
@@ -42,7 +42,7 @@ TEST(SnapshotCodec, RoundTripsFullImage) {
   img.app_state = {1, 2, 3, 4};
   img.app_deltas = {{5}, {6, 7}};
 
-  SnapshotImage out;
+  repl::GroupImage out;
   ASSERT_TRUE(decode_snapshot(encode_snapshot(img), out));
   EXPECT_EQ(out.group, img.group);
   EXPECT_EQ(out.head, img.head);
@@ -56,12 +56,12 @@ TEST(SnapshotCodec, RoundTripsFullImage) {
 }
 
 TEST(SnapshotCodec, RejectsBitRot) {
-  SnapshotImage img;
+  repl::GroupImage img;
   img.group = KeyGroup::of(Key(0x2A, kWidth), 5);
   img.head = repl::LogHead{1, 1};
   auto bytes = encode_snapshot(img);
   bytes[bytes.size() / 2] ^= 0x04;
-  SnapshotImage out;
+  repl::GroupImage out;
   EXPECT_FALSE(decode_snapshot(bytes, out));
 }
 
@@ -69,7 +69,7 @@ TEST(Recovery, ReplaysWalTailOntoSnapshot) {
   MemBackend backend;
   const KeyGroup g = KeyGroup::of(Key(0x10, kWidth), 4);
 
-  SnapshotImage snap;
+  repl::GroupImage snap;
   snap.group = g;
   snap.head = repl::LogHead{2, 2};
   repl::GroupLog::apply(stream_op(1, 0x10, 1.0), snap.state);
@@ -90,7 +90,7 @@ TEST(Recovery, ReplaysWalTailOntoSnapshot) {
 
   const auto image = recover_image(backend, "wal", "snap");
   ASSERT_EQ(image.groups.size(), 1u);
-  const RecoveredGroup& rec = image.groups.at(g);
+  const repl::GroupImage& rec = image.groups.at(g);
   EXPECT_EQ(rec.head, (repl::LogHead{2, 5}));
   EXPECT_EQ(rec.state.streams.size(), 1u);
   EXPECT_EQ(rec.state.queries.size(), 1u);
@@ -105,7 +105,7 @@ TEST(Recovery, ReplaysWalTailOntoSnapshot) {
 TEST(Recovery, DropRecordForgetsTheGroup) {
   MemBackend backend;
   const KeyGroup g = KeyGroup::of(Key(0x20, kWidth), 4);
-  SnapshotImage snap;
+  repl::GroupImage snap;
   snap.group = g;
   snap.head = repl::LogHead{1, 0};
   ASSERT_TRUE(backend.write_file_atomic(snapshot_path("snap", g),
@@ -126,7 +126,7 @@ TEST(Recovery, ReactivationAfterDropResurrectsUnderNewEpoch) {
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{1, 1}, stream_op(1, 0x20, 1.0)));
   ASSERT_TRUE(wal.append_drop(g, 1));
   // Re-adopted later: a fresh baseline under epoch 2 plus one op.
-  SnapshotImage snap;
+  repl::GroupImage snap;
   snap.group = g;
   snap.head = repl::LogHead{2, 0};
   ASSERT_TRUE(backend.write_file_atomic(snapshot_path("snap", g),
@@ -135,7 +135,7 @@ TEST(Recovery, ReactivationAfterDropResurrectsUnderNewEpoch) {
 
   const auto image = recover_image(backend, "wal", "snap");
   ASSERT_EQ(image.groups.size(), 1u);
-  const RecoveredGroup& rec = image.groups.at(g);
+  const repl::GroupImage& rec = image.groups.at(g);
   EXPECT_EQ(rec.head, (repl::LogHead{2, 1}));
   EXPECT_EQ(rec.state.streams.size(), 1u);
   EXPECT_DOUBLE_EQ(rec.state.stream_rate, 3.0);
@@ -144,7 +144,7 @@ TEST(Recovery, ReactivationAfterDropResurrectsUnderNewEpoch) {
 TEST(Recovery, SequenceGapFencesTheGroupSuffix) {
   MemBackend backend;
   const KeyGroup g = KeyGroup::of(Key(0x30, kWidth), 4);
-  SnapshotImage snap;
+  repl::GroupImage snap;
   snap.group = g;
   snap.head = repl::LogHead{1, 0};
   ASSERT_TRUE(backend.write_file_atomic(snapshot_path("snap", g),
@@ -156,7 +156,7 @@ TEST(Recovery, SequenceGapFencesTheGroupSuffix) {
   ASSERT_TRUE(wal.append_op(g, repl::LogHead{1, 4}, stream_op(4, 0x32, 1.0)));
 
   const auto image = recover_image(backend, "wal", "snap");
-  const RecoveredGroup& rec = image.groups.at(g);
+  const repl::GroupImage& rec = image.groups.at(g);
   EXPECT_EQ(rec.head, (repl::LogHead{1, 1}));
   EXPECT_EQ(rec.state.streams.size(), 1u);
   EXPECT_EQ(image.stats.records_skipped, 2u);
@@ -195,7 +195,7 @@ TEST(Recovery, RecoveredImageMatchesPreCrashServerExactly) {
     ClashServer server(ServerId{0}, cfg, env,
                        dht::KeyHasher(32, dht::KeyHasher::Algo::kMix64, 0));
     NodeStore store(backend, NodeStore::Config::from(cfg));
-    server.set_storage(&store);
+    server.replicator().set_storage(&store);
 
     ServerTableEntry entry;
     entry.group = KeyGroup::root(kWidth);
@@ -232,7 +232,7 @@ TEST(Recovery, RecoveredImageMatchesPreCrashServerExactly) {
     // Crash (per-append fsync: nothing unsynced) and recover.
     const auto image = recover_image(backend, "wal", "snap");
     ASSERT_EQ(image.groups.size(), 1u) << "mode " << int(mode);
-    const RecoveredGroup& rec = image.groups.at(entry.group);
+    const repl::GroupImage& rec = image.groups.at(entry.group);
     EXPECT_EQ(rec.head, *live_head) << "replayed head == pre-crash head";
     EXPECT_TRUE(rec.root);
     EXPECT_EQ(rec.state.streams.size(), live->streams.size());
@@ -268,7 +268,7 @@ TEST(Recovery, RestartedStoreReclaimsItsPredecessorsSegments) {
     ClashServer server(ServerId{0}, cfg, env,
                        dht::KeyHasher(32, dht::KeyHasher::Algo::kMix64, 0));
     NodeStore store(backend, NodeStore::Config::from(cfg));
-    server.set_storage(&store);
+    server.replicator().set_storage(&store);
     const auto replayed = store.recovery_stats().records_replayed;
     if (cycle == 0) {
       ServerTableEntry entry;
@@ -277,7 +277,7 @@ TEST(Recovery, RestartedStoreReclaimsItsPredecessorsSegments) {
       entry.active = true;
       server.install_entry(entry);
     } else {
-      server.restore_from_storage();
+      server.replicator().restore_from_storage();
       // Crash-without-evict: the restarted node re-owns its group.
       (void)server.promote_replica(KeyGroup::root(kWidth));
     }
@@ -316,7 +316,7 @@ TEST(Recovery, WalSnapshotTruncationBoundsReplay) {
     ClashServer server(ServerId{0}, cfg, env,
                        dht::KeyHasher(32, dht::KeyHasher::Algo::kMix64, 0));
     NodeStore store(backend, NodeStore::Config::from(cfg));
-    server.set_storage(&store);
+    server.replicator().set_storage(&store);
     ServerTableEntry entry;
     entry.group = KeyGroup::root(kWidth);
     entry.root = true;

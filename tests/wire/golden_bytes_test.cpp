@@ -319,7 +319,7 @@ TEST(GoldenBytes, WalRecordsArePinned) {
 }
 
 TEST(GoldenBytes, SnapshotFileIsPinned) {
-  storage::SnapshotImage img;
+  repl::GroupImage img;
   img.group = group();
   img.head = repl::LogHead{7, 123};
   img.root = true;
@@ -339,7 +339,7 @@ TEST(GoldenBytes, SnapshotFileIsPinned) {
       "000100000001020000000203a69ebebf";
   EXPECT_EQ(hex(storage::encode_snapshot(img)), want);
 
-  storage::SnapshotImage back;
+  repl::GroupImage back;
   ASSERT_TRUE(storage::decode_snapshot(unhex(want), back));
   EXPECT_EQ(back.state.streams.size(), 2u);
   EXPECT_DOUBLE_EQ(back.state.stream_rate, 5.5);
