@@ -477,12 +477,7 @@ std::optional<KeyGroup> ClashServer::pick_split_candidate() {
   std::vector<const ServerTableEntry*> eligible;
   for (const ServerTableEntry* e : table_.active_entries()) {
     if (e->group.depth() >= cfg_.key_width) continue;
-    // Never split the local left child of a reclaim in flight: the
-    // merge handler needs it to still be an active leaf.
-    if (!e->group.is_root() &&
-        pending_reclaims_.count(e->group.sibling()) > 0) {
-      continue;
-    }
+    if (in_reclaim(e->group)) continue;
     eligible.push_back(e);
   }
   if (eligible.empty()) return std::nullopt;
@@ -629,68 +624,65 @@ bool ClashServer::append_app_delta(const KeyGroup& group,
 
 std::size_t ClashServer::handoff_groups(ServerId to) {
   if (to == self_ || !to.valid()) return 0;
-  struct Moving {
-    KeyGroup group;
-    bool root = false;
-    ServerId parent{};
-  };
-  std::vector<Moving> moving;
+  std::vector<KeyGroup> moving;
   for (const ServerTableEntry* e : table_.active_entries()) {
-    // Never move a group entangled in an in-flight reclaim: the merge
-    // handler needs the local leaves exactly where the reports said.
-    if (!e->group.is_root() &&
-        pending_reclaims_.count(e->group.sibling()) > 0) {
-      continue;
-    }
-    const auto lookup =
-        env_.dht_lookup(hasher_.hash_key(e->group.virtual_key()));
-    if (lookup.owner == to) {
-      moving.push_back(Moving{e->group, e->root, e->parent});
+    if (in_reclaim(e->group)) continue;
+    if (env_.dht_lookup(hasher_.hash_key(e->group.virtual_key())).owner ==
+        to) {
+      moving.push_back(e->group);
     }
   }
-  for (const auto& mv : moving) {
-    AcceptKeyGroup msg;
-    msg.group = mv.group;
-    msg.parent = mv.parent;
-    msg.root = mv.root;
-    const auto head = repl_.log_head(mv.group);
-    msg.epoch = head ? head->epoch : 0;
-    GroupState st;
-    const auto sit = state_.find(mv.group);
-    if (sit != state_.end()) {
-      st = std::move(sit->second);
-      state_.erase(sit);
-    }
-    msg.streams.reserve(st.streams.size());
-    for (const auto& [_, s] : st.streams) msg.streams.push_back(s);
-    msg.queries.reserve(st.queries.size());
-    for (const auto& [_, q] : st.queries) msg.queries.push_back(q);
-    if (app_hooks_ != nullptr) {
-      msg.app_state = app_hooks_->export_state(mv.group, to);
-    }
-    // Retire replicas and the local entry BEFORE the transfer: the new
-    // owner re-replicates on install, and a retire arriving afterwards
-    // would wipe the fresh records.
-    table_.erase(mv.group);
-    child_reports_.erase(mv.group);
-    note_group_deactivated(mv.group);
-    retire_group(mv.group);
-    stats_.state_transfer_msgs += state_msgs_for(msg.queries.size());
-    stats_.handoffs++;
-    env_.send(to, std::move(msg));
-  }
+  for (const KeyGroup& group : moving) hand_over(group, to);
   return moving.size();
+}
+
+void ClashServer::hand_over(const KeyGroup& group, ServerId to) {
+  const ServerTableEntry* entry = table_.find(group);
+  AcceptKeyGroup msg;
+  msg.group = group;
+  msg.parent = entry->parent;
+  msg.root = entry->root;
+  const auto head = repl_.log_head(group);
+  msg.epoch = head ? head->epoch : 0;
+  GroupState st;
+  const auto sit = state_.find(group);
+  if (sit != state_.end()) {
+    st = std::move(sit->second);
+    state_.erase(sit);
+  }
+  msg.streams.reserve(st.streams.size());
+  for (const auto& [_, s] : st.streams) msg.streams.push_back(s);
+  msg.queries.reserve(st.queries.size());
+  for (const auto& [_, q] : st.queries) msg.queries.push_back(q);
+  if (app_hooks_ != nullptr) {
+    msg.app_state = app_hooks_->export_state(group, to);
+  }
+  // Retire replicas and the local entry BEFORE the transfer: the new
+  // owner re-replicates on install, and a retire arriving afterwards
+  // would wipe the fresh records.
+  table_.erase(group);
+  child_reports_.erase(group);
+  note_group_deactivated(group);
+  retire_group(group);
+  stats_.state_transfer_msgs += state_msgs_for(msg.queries.size());
+  stats_.handoffs++;
+  env_.send(to, std::move(msg));
 }
 
 void ClashServer::on_ring_change(const dht::ChordRing& ring,
                                  SimDuration grace) {
   // Hand back before refreshing: a group about to leave needs no probe.
-  std::set<ServerId> targets;
+  // Each group goes to the member `ring` maps it to, one target after
+  // another in id order.
+  std::map<ServerId, std::vector<KeyGroup>> moving;
   for (const ServerTableEntry* e : table_.active_entries()) {
+    if (in_reclaim(e->group)) continue;
     const ServerId to = ring.map(hasher_.hash_key(e->group.virtual_key()));
-    if (to != self_) targets.insert(to);
+    if (to != self_ && to.valid()) moving[to].push_back(e->group);
   }
-  for (const ServerId to : targets) handoff_groups(to);
+  for (const auto& [to, groups] : moving) {
+    for (const KeyGroup& group : groups) hand_over(group, to);
+  }
   repl_.ring_changed(ring, grace);
 }
 

@@ -247,10 +247,10 @@ class ClashServer {
   /// recovered.
   bool promote_replica(const KeyGroup& group);
 
-  /// Hand every active group whose DHT owner is now `to` over to it
-  /// with full state (ring re-admission healed the routing — without
-  /// this, a rejoined node would serve its key ranges empty). Returns
-  /// the number of groups moved.
+  /// Hand every active group whose DHT owner (dht_lookup) is now `to`
+  /// over to it with full state (ring re-admission healed the routing —
+  /// without this, a rejoined node would serve its key ranges empty).
+  /// Returns the number of groups moved.
   std::size_t handoff_groups(ServerId to);
 
   // --- Replication and durability (src/repl/replicator.hpp) ---------------
@@ -336,6 +336,15 @@ class ClashServer {
 
   /// Move the members of `subset` out of `st` into the returned state.
   static GroupState extract_subset(GroupState& st, const KeyGroup& subset);
+
+  /// True when `group` is entangled in an in-flight reclaim: it must
+  /// neither split nor move, since the merge handler needs the local
+  /// leaves exactly where the reports said.
+  [[nodiscard]] bool in_reclaim(const KeyGroup& group) const {
+    return !group.is_root() && pending_reclaims_.count(group.sibling()) > 0;
+  }
+  /// Move active `group` to `to` with full state.
+  void hand_over(const KeyGroup& group, ServerId to);
 
   /// Drop an emptied ephemeral group (fixed-depth baseline mode).
   void maybe_gc_group(const KeyGroup& group);
