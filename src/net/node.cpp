@@ -338,7 +338,7 @@ std::string census_view_json(const obs::ClusterView& view) {
 }  // namespace
 
 void ClashNode::schedule_postmortem_refresh() {
-  loop_->call_after(config_.postmortem_refresh, [this] {
+  loop_->call_after(kPostmortemRefresh, [this] {
     on_loop_.assert_held();
     refresh_postmortem_cache();
     schedule_postmortem_refresh();

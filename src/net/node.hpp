@@ -98,10 +98,6 @@ struct NodeConfig {
   /// handler on start(). Off by default: embedding processes (tests,
   /// benches) opt in explicitly, since signal disposition is global.
   bool install_crash_handler = false;
-  /// Cadence of the loop-side refresh of the cached registry + census
-  /// snapshot the postmortem source reads (the crash path must never
-  /// hop to the loop).
-  std::chrono::microseconds postmortem_refresh = std::chrono::seconds(1);
 };
 
 class ClashNode {
@@ -254,6 +250,10 @@ class ClashNode {
       CLASH_REQUIRES(on_loop_);
   void schedule_load_check() CLASH_REQUIRES(on_loop_);
   void schedule_membership_tick() CLASH_REQUIRES(on_loop_);
+  /// Cadence of the loop-side refresh of the cached registry + census
+  /// snapshot the postmortem source reads (the crash path must never
+  /// hop to the loop).
+  static constexpr std::chrono::seconds kPostmortemRefresh{1};
   void schedule_postmortem_refresh() CLASH_REQUIRES(on_loop_);
   /// Rebuild the cached registry/census JSON the postmortem source
   /// serves (loop thread; the only writer of pm_cache_).

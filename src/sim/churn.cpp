@@ -160,12 +160,10 @@ void ChurnSim::start() {
         SimTime(config_.protocol_period.usec * std::int64_t(i + 1) /
                 std::int64_t(n));
     events_.after(stagger, [this, i] { tick_server(i); });
-    if (config_.run_load_checks) {
-      const auto check_stagger =
-          SimTime(config_.cluster.clash.load_check_period.usec *
-                  std::int64_t(i + 1) / std::int64_t(n));
-      events_.after(check_stagger, [this, i] { run_load_check(i); });
-    }
+    const auto check_stagger =
+        SimTime(config_.cluster.clash.load_check_period.usec *
+                std::int64_t(i + 1) / std::int64_t(n));
+    events_.after(check_stagger, [this, i] { run_load_check(i); });
   }
 }
 

@@ -39,8 +39,6 @@ class ChurnSim {
     SimDuration protocol_period = SimTime::from_seconds(1);
     /// One-way gossip message latency.
     SimDuration gossip_delay = SimTime::from_seconds(0.02);
-    /// Also drive periodic load checks (replica refresh, splits).
-    bool run_load_checks = true;
     /// Per-node suspicion-timeout override (server index -> periods):
     /// nodes listed here run SWIM with their own eviction leash instead
     /// of membership.suspicion_periods. Survives revivals.

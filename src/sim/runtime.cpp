@@ -15,12 +15,6 @@ Runtime::Runtime(RuntimeConfig config)
   if (config_.phases.empty()) {
     throw std::invalid_argument("runtime needs at least one phase");
   }
-  if (config_.mode == Mode::kPowerOfTwo) {
-    // The same group may legitimately live on two candidate servers, so
-    // the global prefix-free invariant does not apply.
-    config_.verify_invariants = false;
-    config_.paranoid = false;
-  }
 }
 
 Runtime::~Runtime() = default;
@@ -62,7 +56,7 @@ RunResult Runtime::run() {
   last.delta = cluster_->total_stats() - phase_start_stats_;
   result_.phase_stats.push_back(last);
 
-  if (config_.verify_invariants) {
+  if (verify_invariants()) {
     if (const auto err = cluster_->check_invariants()) {
       result_.invariant_violation = *err;
     }
@@ -89,7 +83,7 @@ void Runtime::setup_phases() {
       phase_start_stats_ = cluster_->total_stats();
       phase_start_time_ = t;
       current_phase_ = unsigned(i);
-      if (config_.verify_invariants) {
+      if (verify_invariants()) {
         if (const auto err = cluster_->check_invariants();
             err && result_.invariant_violation.empty()) {
           result_.invariant_violation = *err;
@@ -362,7 +356,7 @@ void Runtime::take_sample() {
   result_.depth_min.add(t, double(snap.min_depth));
   result_.depth_avg.add(t, snap.avg_depth);
   result_.depth_max.add(t, double(snap.max_depth));
-  if (config_.paranoid && config_.verify_invariants) {
+  if (config_.paranoid && verify_invariants()) {
     if (const auto err = cluster_->check_invariants();
         err && result_.invariant_violation.empty()) {
       result_.invariant_violation = *err;

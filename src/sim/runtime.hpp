@@ -51,9 +51,10 @@ struct RuntimeConfig {
   /// Metric sampling cadence.
   SimDuration sample_period = SimTime::from_minutes(5);
 
-  /// Validate cluster invariants at each phase boundary (cheap) and,
-  /// when `paranoid`, at every sample.
-  bool verify_invariants = true;
+  /// Also validate cluster invariants at every sample, not only at each
+  /// phase boundary (kPowerOfTwo checks neither: the same group may
+  /// legitimately live on two candidate servers, so the global
+  /// prefix-free invariant does not apply).
   bool paranoid = false;
 
   struct Phase {
@@ -118,6 +119,9 @@ class Runtime {
   [[nodiscard]] SimCluster& cluster() { return *cluster_; }
 
  private:
+  [[nodiscard]] bool verify_invariants() const {
+    return config_.mode != Mode::kPowerOfTwo;
+  }
   struct Source {
     ClientId id{};
     Key key{0, 24};
