@@ -364,6 +364,20 @@ bool ChurnSim::ring_matches_membership() const {
   return true;
 }
 
+bool ChurnSim::views_agree() const {
+  for (std::size_t i = 0; i < drivers_.size(); ++i) {
+    if (!cluster_->is_alive(ServerId{i})) continue;
+    const membership::MembershipView& view = drivers_[i]->view();
+    for (std::size_t j = 0; j < drivers_.size(); ++j) {
+      const ServerId id{j};
+      const bool member =
+          cluster_->is_alive(id) && cluster_->ring().contains(id);
+      if ((view.state_of(id) == MemberState::kAlive) != member) return false;
+    }
+  }
+  return true;
+}
+
 std::uint64_t ChurnSim::gossip_messages() const {
   return cluster_->total_stats().gossip_msgs;
 }

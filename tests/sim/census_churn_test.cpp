@@ -191,6 +191,7 @@ TEST(CensusChurn, FlappingLinkStaysConvergedAfterSettle) {
   const int periods = run_until_census_converged(sim);
   ASSERT_GE(periods, 0) << "census never re-converged after flapping";
   EXPECT_TRUE(sim.ring_matches_membership());
+  EXPECT_TRUE(sim.views_agree());
 }
 
 TEST(CensusChurn, DisabledCensusSendsNoRecords) {

@@ -163,6 +163,7 @@ TEST(MembershipChurn, RevivedServerRefutesAndRejoinsRing) {
   }
   ASSERT_TRUE(rejoined) << "revived server never re-admitted";
   EXPECT_TRUE(sim.ring_matches_membership());
+  EXPECT_TRUE(sim.views_agree());
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
 
   // The rejoined (empty) server participates again: the full key space
@@ -188,6 +189,7 @@ TEST(MembershipChurn, NoFalsePositivesInHealthyCluster) {
     }
   }
   EXPECT_TRUE(sim.ring_matches_membership());
+  EXPECT_TRUE(sim.views_agree());
   EXPECT_GT(sim.gossip_messages(), 0u);
 }
 

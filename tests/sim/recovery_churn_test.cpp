@@ -187,6 +187,7 @@ TEST(RecoveryChurn, KillReviveLosesNoQueriesAndConvergesHeads) {
   EXPECT_EQ(sim.cluster().check_replica_heads(), std::nullopt);
   EXPECT_EQ(sim.cluster().check_invariants(), std::nullopt);
   EXPECT_EQ(app.live_query_count(), keys.size());
+  EXPECT_TRUE(sim.views_agree());
 }
 
 TEST(RecoveryChurn, LogModeReplicationTrafficIsIncremental) {
