@@ -790,12 +790,4 @@ std::size_t ClashServer::total_streams() const {
   return n;
 }
 
-std::vector<unsigned> ClashServer::active_depths() const {
-  std::vector<unsigned> out;
-  for (const ServerTableEntry* e : table_.active_entries()) {
-    out.push_back(e->group.depth());
-  }
-  return out;
-}
-
 }  // namespace clash

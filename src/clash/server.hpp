@@ -293,8 +293,6 @@ class ClashServer {
   [[nodiscard]] const GroupState* group_state(const KeyGroup& group) const;
   [[nodiscard]] std::size_t total_queries() const;
   [[nodiscard]] std::size_t total_streams() const;
-  /// Depths of this server's active groups (for Figure 4c).
-  [[nodiscard]] std::vector<unsigned> active_depths() const;
   [[nodiscard]] bool is_active() const { return table_.active_count() > 0; }
 
  private:

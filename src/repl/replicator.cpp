@@ -17,8 +17,10 @@ namespace {
 
 constexpr std::uint64_t kMsgOverheadBytes = 24;
 
-std::uint64_t approx_op_bytes(const LogOp& op) {
-  return 24 + op.app_delta.size();
+std::uint64_t approx_append_bytes(const std::vector<LogOp>& ops) {
+  std::uint64_t b = kMsgOverheadBytes;
+  for (const auto& op : ops) b += 24 + op.app_delta.size();
+  return b;
 }
 
 std::uint64_t approx_chunk_bytes(const SnapshotChunk& c) {
@@ -81,7 +83,16 @@ void Replicator::activated(const ServerTableEntry& entry,
 void Replicator::retired(const KeyGroup& group) {
   if (!replicating() && !durable()) return;
   cancel_outbound_snapshots(group);  // the image being streamed is dead
-  drop_group_log(group);
+  flush_pending_append(group);
+  drop_pending_commits(group);
+  if (const auto it = logs_.find(group); it != logs_.end()) {
+    // A reactivation must start above this line's epoch.
+    retired_epochs_[group] = it->second.epoch();
+    if (durable()) {
+      storage_->drop_group(group, it->second.epoch(), env_.now());
+    }
+    logs_.erase(it);
+  }
   if (!replicating()) return;
   for (const ServerId target : replica_set(group)) {
     if (target != self_) env_.send(target, DropReplica{group});
@@ -122,12 +133,11 @@ std::optional<Replicator::Promotion> Replicator::take_for_promotion(
     erase_replica(it);
   }
   const auto rs = recovering_.find(group);
-  const bool healed = rs != recovering_.end() && rs->second.repaired &&
-                      rs->second.start < head;
   if (head < advertised) {
     ++recovery_stats_.stale_promotions;
-  } else if (healed) {
-    ++recovery_stats_.stale_promotions_averted;
+  } else if (rs != recovering_.end() && rs->second.repaired &&
+             rs->second.start < head) {
+    ++recovery_stats_.stale_promotions_averted;  // healed by peer repair
   }
   if (rs != recovering_.end()) {
     failover_us_.record_signed(env_.now().usec - rs->second.op.start_us);
@@ -206,15 +216,16 @@ void Replicator::tick() {
 // Owner side: the operation log, per-tick batches, commits.
 // ---------------------------------------------------------------------------
 
-void Replicator::init_group_log(const KeyGroup& group,
-                                std::uint64_t min_epoch) {
+GroupLog& Replicator::init_group_log(const KeyGroup& group,
+                                    std::uint64_t min_epoch) {
   // A queued batch must not outlive its epoch: send it under the old
   // line before the new one starts.
   flush_pending_append(group);
   std::uint64_t epoch = std::max<std::uint64_t>(min_epoch, 1);
   const auto it = retired_epochs_.find(group);
   if (it != retired_epochs_.end()) epoch = std::max(epoch, it->second + 1);
-  logs_.insert_or_assign(group, GroupLog(epoch, 0));
+  GroupLog& log =
+      logs_.insert_or_assign(group, GroupLog(epoch, 0)).first->second;
   srv_.note(obs::Kind::kEpochBump, group, epoch);
   drop_pending_commits(group);
   // A new line's baseline must hit the disk before any of its WAL
@@ -224,6 +235,7 @@ void Replicator::init_group_log(const KeyGroup& group,
   if (const ServerTableEntry* entry = active_entry(group)) {
     persist_group_snapshot(*entry, /*checkpoint=*/false);
   }
+  return log;
 }
 
 void Replicator::drop_pending_commits(const KeyGroup& group) {
@@ -233,27 +245,11 @@ void Replicator::drop_pending_commits(const KeyGroup& group) {
   pending_commits_.erase(it);
 }
 
-void Replicator::drop_group_log(const KeyGroup& group) {
-  flush_pending_append(group);
-  drop_pending_commits(group);
-  const auto it = logs_.find(group);
-  if (it == logs_.end()) return;
-  retired_epochs_[group] = it->second.epoch();
-  if (durable()) {
-    storage_->drop_group(group, it->second.epoch(), env_.now());
-  }
-  logs_.erase(it);
-}
-
 void Replicator::logged(const KeyGroup& group, LogOp op) {
   const bool replicating = this->replicating();
   if (!replicating && !durable()) return;
-  auto lit = logs_.find(group);
-  if (lit == logs_.end()) {
-    init_group_log(group, 1);
-    lit = logs_.find(group);
-  }
-  GroupLog& log = lit->second;
+  const auto lit = logs_.find(group);
+  GroupLog& log = lit != logs_.end() ? lit->second : init_group_log(group, 1);
 
   if (replicating) {
     // One ReplAppend frame per group per dispatch tick: the transport
@@ -312,8 +308,7 @@ void Replicator::send_append_batch(const KeyGroup& group,
   msg.entries = std::move(batch.entries);
   msg.checksum = wire::content_crc(msg);  // trace_id set first: covered
   const auto targets = replica_set(group);
-  std::uint64_t wire = kMsgOverheadBytes;
-  for (const auto& op : msg.entries) wire += approx_op_bytes(op);
+  const std::uint64_t wire = approx_append_bytes(msg.entries);
   bool fanned_out = false;
   for (const ServerId target : targets) {
     if (target != self_) {
@@ -592,9 +587,7 @@ void Replicator::repair_peer(ServerId to, const KeyGroup& group,
     std::vector<LogOp> out;
     if (have.epoch == log.epoch() && log.suffix_from(have.seq, out)) {
       if (!out.empty()) {
-        std::uint64_t wire = kMsgOverheadBytes;
-        for (const auto& op : out) wire += approx_op_bytes(op);
-        srv_.meter_repl_bytes(group, wire);
+        srv_.meter_repl_bytes(group, approx_append_bytes(out));
         ReplAppend repair{group, self_, log.epoch(), have.seq,
                           srv_.active_trace_, std::move(out)};
         repair.checksum = wire::content_crc(repair);

@@ -254,9 +254,7 @@ class Replicator {
   void flush_pending_append(const KeyGroup& group);
   /// Start (or restart) a group's log at an epoch strictly above both
   /// `min_epoch` and any epoch this server previously used for it.
-  void init_group_log(const KeyGroup& group, std::uint64_t min_epoch);
-  /// Retire a group's log, remembering the epoch for reactivations.
-  void drop_group_log(const KeyGroup& group);
+  GroupLog& init_group_log(const KeyGroup& group, std::uint64_t min_epoch);
   /// Heads registered under the old line can never be acked now.
   void drop_pending_commits(const KeyGroup& group);
   void commit_acked(const KeyGroup& group, const LogHead& head);

@@ -152,9 +152,7 @@ class ChurnSim {
   /// The ring holds exactly the live servers.
   [[nodiscard]] bool ring_matches_membership() const;
   /// Every live server's own view holds exactly the live ring members
-  /// as alive (the per-node check ring_matches_membership cannot make:
-  /// the global ring can be right while two sides of a split still
-  /// hold each other dead).
+  /// alive (a split can hide behind a correct global ring).
   [[nodiscard]] bool views_agree() const;
   [[nodiscard]] std::uint64_t gossip_messages() const;
 
