@@ -622,20 +622,6 @@ bool ClashServer::append_app_delta(const KeyGroup& group,
   return true;
 }
 
-std::size_t ClashServer::handoff_groups(ServerId to) {
-  if (to == self_ || !to.valid()) return 0;
-  std::vector<KeyGroup> moving;
-  for (const ServerTableEntry* e : table_.active_entries()) {
-    if (in_reclaim(e->group)) continue;
-    if (env_.dht_lookup(hasher_.hash_key(e->group.virtual_key())).owner ==
-        to) {
-      moving.push_back(e->group);
-    }
-  }
-  for (const KeyGroup& group : moving) hand_over(group, to);
-  return moving.size();
-}
-
 void ClashServer::hand_over(const KeyGroup& group, ServerId to) {
   const ServerTableEntry* entry = table_.find(group);
   AcceptKeyGroup msg;

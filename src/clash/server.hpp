@@ -247,11 +247,6 @@ class ClashServer {
   /// recovered.
   bool promote_replica(const KeyGroup& group);
 
-  /// Hand every active group whose DHT owner (dht_lookup) is now `to`
-  /// over to it with full state (ring re-admission healed the routing —
-  /// without this, a rejoined node would serve its key ranges empty).
-  /// Returns the number of groups moved.
-  std::size_t handoff_groups(ServerId to);
 
   // --- Replication and durability (src/repl/replicator.hpp) ---------------
   [[nodiscard]] repl::Replicator& replicator() { return repl_; }
@@ -341,7 +336,9 @@ class ClashServer {
   [[nodiscard]] bool in_reclaim(const KeyGroup& group) const {
     return !group.is_root() && pending_reclaims_.count(group.sibling()) > 0;
   }
-  /// Move active `group` to `to` with full state.
+  /// Move active `group` to `to` with full state (ring re-admission
+  /// healed the routing — without this, a rejoined node would serve its
+  /// key ranges empty).
   void hand_over(const KeyGroup& group, ServerId to);
 
   /// Drop an emptied ephemeral group (fixed-depth baseline mode).

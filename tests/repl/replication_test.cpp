@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "clash/server.hpp"
+#include "dht/chord.hpp"
 #include "repl/log.hpp"
 
 namespace clash {
@@ -318,8 +319,9 @@ TEST(ReplicationLog, HandoffPreservesRootFlagStateAndEpochFencing) {
   const auto old_epoch = cluster.s(0).log_head(root)->epoch;
 
   // The ring now maps the group to s(3): hand it back with state.
-  cluster.router.lookup_owner = ServerId{3};
-  EXPECT_EQ(cluster.s(0).handoff_groups(ServerId{3}), 1u);
+  dht::ChordRing ring(dht::ChordRing::Config{});
+  ring.add_server(ServerId{3});
+  cluster.s(0).on_ring_change(ring, SimDuration{0});
 
   EXPECT_EQ(cluster.s(0).group_state(root), nullptr);
   EXPECT_FALSE(cluster.s(0).is_active());
@@ -337,9 +339,10 @@ TEST(ReplicationLog, HandoffPreservesRootFlagStateAndEpochFencing) {
 TEST(ReplicationLog, HandoffToSelfOrUnmappedGroupsIsANoOp) {
   LogCluster cluster(3);
   (void)cluster.install_root();
-  EXPECT_EQ(cluster.s(0).handoff_groups(ServerId{0}), 0u);
-  cluster.router.lookup_owner = ServerId{0};  // still maps here
-  EXPECT_EQ(cluster.s(0).handoff_groups(ServerId{2}), 0u);
+  dht::ChordRing ring(dht::ChordRing::Config{});
+  ring.add_server(ServerId{0});  // the group still maps here
+  cluster.s(0).on_ring_change(ring, SimDuration{0});
+  EXPECT_EQ(cluster.s(0).stats().handoffs, 0u);
   EXPECT_TRUE(cluster.s(0).is_active());
 }
 
