@@ -269,8 +269,8 @@ void Replicator::logged(const KeyGroup& group, LogOp op) {
   // policy) before the in-memory log observes it.
   const LogHead head{log.epoch(), log.head().seq + 1};
   if (durable()) {
-    srv_.meter_storage_bytes(group,
-                             storage_->append_op(group, head, op, env_.now()));
+    srv_.meter_storage_bytes(group, storage_->append_op(group, head, op,
+                                                        env_.now()));
   }
   log.append(std::move(op));
   if (replicating && !append_flush_scheduled_) {
@@ -434,9 +434,8 @@ void Replicator::send_state_snapshot(ServerId to, const GroupImage& img,
   // snapshot is a consequence of a traced op, a fresh one otherwise
   // (| 1 keeps it nonzero), so offer, chunks, and the receiver's
   // install span stitch into one flow.
-  const std::uint64_t trace_id = srv_.active_trace_ != 0
-                                     ? srv_.active_trace_
-                                     : (srv_.rng_.next() | 1);
+  const std::uint64_t trace_id =
+      srv_.active_trace_ != 0 ? srv_.active_trace_ : (srv_.rng_.next() | 1);
   SnapshotOffer offer;
   offer.group = img.group;
   offer.owner = owner;
